@@ -18,7 +18,6 @@ actual rational-function comparison).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -27,6 +26,7 @@ from typing import Optional, Sequence
 from .cluster import (
     ExchangeMatrix,
     Rows,
+    breadth_first,
     cartan_counterpart,
     is_finite_type,
     matrix_mutate,
@@ -91,15 +91,8 @@ class ExchangeGraph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return False
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            u = frontier.pop()
-            for v in self.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return len(seen) == self.n_vertices
+        walk = breadth_first([0], self.adjacency.__getitem__, lambda v: v)
+        return sum(1 for _ in walk) == self.n_vertices
 
 
 class _PointCollision(Exception):
@@ -145,30 +138,22 @@ def _enumerate_at_point(
     matrix: ExchangeMatrix, point, p: int, budget: int
 ) -> ExchangeGraph:
     n = matrix.n
-    start = _canonical_state(point, matrix)
-    index = {start: 0}
-    states = [start]
-    neighbors: list[list[int]] = [[]]
-    frontier = deque([0])
-    while frontier:
-        u = frontier.popleft()
-        values, rows = states[u]
+
+    def mutations(state):
+        values, rows = state
         current = ExchangeMatrix(rows)
         for k in range(n):
             new_values = _mutate_values(values, rows, k, p)
-            state = _canonical_state(new_values, matrix_mutate(current, k))
-            v = index.get(state)
-            if v is None:
-                if len(states) >= budget:
-                    raise BudgetExceededError(
-                        f"exchange graph exceeded {budget} vertices"
-                    )
-                v = len(states)
-                index[state] = v
-                states.append(state)
-                neighbors.append([])
-                frontier.append(v)
-            neighbors[u].append(v)
+            yield _canonical_state(new_values, matrix_mutate(current, k))
+
+    states = []
+    neighbors = []
+    walk = breadth_first([_canonical_state(point, matrix)], mutations, lambda s: s)
+    for index, state, out in walk:
+        if index >= budget:
+            raise BudgetExceededError(f"exchange graph exceeded {budget} vertices")
+        states.append(state)
+        neighbors.append(out)
     adjacency = []
     for u, nbrs in enumerate(neighbors):
         if u in nbrs or len(set(nbrs)) != n:
@@ -432,38 +417,30 @@ def enumerate_symbolic_seeds(
     Feasible at small rank only; coefficients live in Z_p with p large to
     emulate characteristic 0.
     """
-    start = _canonical_symbolic(initial_symbolic_seed(matrix, p))
-    index = {_symbolic_key(start): 0}
-    seeds = [start]
-    frontier = deque([start])
-    while frontier:
-        seed = frontier.popleft()
-        for k in range(matrix.n):
-            neighbor = _canonical_symbolic(rf_mutate(seed, k))
-            key = _symbolic_key(neighbor)
-            if key not in index:
-                if len(seeds) >= budget:
-                    raise BudgetExceededError(
-                        f"symbolic enumeration exceeded {budget} seeds"
-                    )
-                index[key] = len(seeds)
-                seeds.append(neighbor)
-                frontier.append(neighbor)
+    seeds = []
+    walk = breadth_first(
+        [_canonical_symbolic(initial_symbolic_seed(matrix, p))],
+        lambda state: (
+            _canonical_symbolic(rf_mutate(state[1], k)) for k in range(matrix.n)
+        ),
+        lambda state: state[0],
+    )
+    for index, (_, seed), _ in walk:
+        if index >= budget:
+            raise BudgetExceededError(f"symbolic enumeration exceeded {budget} seeds")
+        seeds.append(seed)
     return seeds
 
 
-def _canonical_symbolic(seed: SymbolicSeed) -> SymbolicSeed:
+def _canonical_symbolic(seed: SymbolicSeed):
+    """(key, seed) for the seed relabelled so its entries' canonical keys
+    ascend; key is those keys plus the relabelled matrix rows."""
     keys = [entry.canonical_key() for entry in seed.entries]
     order = tuple(sorted(range(len(keys)), key=keys.__getitem__))
-    return SymbolicSeed(
-        tuple(seed.entries[i] for i in order), seed.matrix.permuted(order)
-    )
-
-
-def _symbolic_key(seed: SymbolicSeed):
+    matrix = seed.matrix.permuted(order)
     return (
-        tuple(entry.canonical_key() for entry in seed.entries),
-        seed.matrix.rows,
+        (tuple(keys[i] for i in order), matrix.rows),
+        SymbolicSeed(tuple(seed.entries[i] for i in order), matrix),
     )
 
 

@@ -14,7 +14,6 @@ anything else.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -216,6 +215,37 @@ def quiver_mutate(quiver: Quiver, k: int) -> Quiver:
     return Quiver(quiver.n, tuple(reversed_counts.items()))
 
 
+# --- breadth-first closure ----------------------------------------------------
+
+
+def breadth_first(starts, neighbours, key):
+    """Walk the closure of `starts` under `neighbours`, breadth first.
+
+    States with equal key(state) are one state. Yields (index, state,
+    out) in discovery order, before the state is expanded, so a caller
+    may stop at any point. When the walk resumes, `out` receives the
+    index of each of neighbours(state) in order, repeats included; every
+    `out` is therefore complete once the walk ends.
+    """
+    index = {}
+    found = []
+
+    def find(state) -> int:
+        k = key(state)
+        if k not in index:
+            index[k] = len(found)
+            found.append(state)
+        return index[k]
+
+    for state in starts:
+        find(state)
+    # found grows while it is walked: the unvisited tail is the queue
+    for i, state in enumerate(found):
+        out = []
+        yield i, state, out
+        out.extend(map(find, neighbours(state)))
+
+
 # --- Dynkin constructors --------------------------------------------------
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -309,20 +339,24 @@ class DynkinSpec:
         return cls(str(d["family"]), int(d["rank"]), orientation)
 
 
-def _bipartite_direction(edges, rank) -> dict[tuple[int, int], bool]:
-    """True for (i, j) iff the arrow runs i -> j under the default rule."""
-    adjacency = {v: [] for v in range(rank)}
-    for i, j, _, _ in edges:
+def _tree_adjacency(edges, n) -> dict[int, list[int]]:
+    adjacency = {v: [] for v in range(n)}
+    for i, j, *_ in edges:
         adjacency[i].append(j)
         adjacency[j].append(i)
-    depth = {0: 0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for w in adjacency[v]:
-            if w not in depth:
-                depth[w] = depth[v] + 1
-                frontier.append(w)
+    return adjacency
+
+
+def _bipartite_direction(edges, rank) -> dict[tuple[int, int], bool]:
+    """True for (i, j) iff the arrow runs i -> j under the default rule."""
+    adjacency = _tree_adjacency(edges, rank)
+    # states are (vertex, depth); the first visit to a vertex is its depth
+    walk = breadth_first(
+        [(0, 0)],
+        lambda state: [(w, state[1] + 1) for w in adjacency[state[0]]],
+        lambda state: state[0],
+    )
+    depth = dict(state for _, state, _ in walk)
     return {(i, j): depth[i] % 2 == 0 for i, j, _, _ in edges}
 
 
@@ -394,19 +428,9 @@ def classify_cartan(cartan: Rows) -> Optional[tuple[str, int]]:
                 edges.append((i, j, w))
     if len(edges) != n - 1:
         return None  # not a tree (or disconnected)
-    adjacency = {v: [] for v in range(n)}
-    for i, j, _ in edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    if len(seen) != n:
+    adjacency = _tree_adjacency(edges, n)
+    reached = sum(1 for _ in breadth_first([0], adjacency.__getitem__, lambda v: v))
+    if reached != n:
         return None
     degrees = {v: len(adjacency[v]) for v in range(n)}
     weighted = [(i, j, w) for i, j, w in edges if w > 1]
@@ -482,27 +506,22 @@ def is_finite_type(matrix: ExchangeMatrix, budget: int = 100_000) -> FiniteTypeR
     Finite type holds iff some matrix in the class has one, so exhausting
     the class is a definitive "not finite"; hitting the budget is not.
     """
-    start = matrix.rows
-    seen = {start}
-    queue = deque([matrix])
+    walk = breadth_first(
+        [matrix],
+        lambda current: (matrix_mutate(current, k) for k in range(current.n)),
+        lambda current: current.rows,
+    )
     explored = 0
-    while queue:
-        if explored >= budget:
-            return FiniteTypeResult("unknown", explored=explored)
-        current = queue.popleft()
-        explored += 1
-        found = classify_cartan(cartan_counterpart(current))
-        if found:
-            return FiniteTypeResult("finite", found[0], found[1], explored)
-        for k in range(current.n):
-            try:
-                neighbor = matrix_mutate(current, k)
-            except InvalidMatrixError:
-                # left sign-skew-symmetric territory: no cluster algebra here
-                return FiniteTypeResult("not_finite", explored=explored)
-            if neighbor.rows not in seen:
-                seen.add(neighbor.rows)
-                queue.append(neighbor)
+    try:
+        for index, current, _ in walk:
+            if index >= budget:
+                return FiniteTypeResult("unknown", explored=explored)
+            explored = index + 1
+            found = classify_cartan(cartan_counterpart(current))
+            if found:
+                return FiniteTypeResult("finite", found[0], found[1], explored)
+    except InvalidMatrixError:
+        pass  # left sign-skew-symmetric territory: no cluster algebra here
     return FiniteTypeResult("not_finite", explored=explored)
 
 

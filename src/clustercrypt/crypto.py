@@ -194,20 +194,6 @@ class KeyViolation:
     message: str
 
 
-def _adjacency(matrix_or_quiver) -> dict[int, set[int]]:
-    if isinstance(matrix_or_quiver, Quiver):
-        matrix = matrix_or_quiver.to_matrix()
-    else:
-        matrix = matrix_or_quiver
-    out: dict[int, set[int]] = {i: set() for i in range(matrix.n)}
-    for i in range(matrix.n):
-        for j in range(matrix.n):
-            if matrix.rows[i][j] != 0:
-                out[i].add(j)
-                out[j].add(i)
-    return out
-
-
 def validate_key(key: SecretKey, matrix_or_quiver) -> tuple[KeyViolation, ...]:
     """Every violated constraint, none silently; empty tuple means valid.
 
@@ -215,8 +201,11 @@ def validate_key(key: SecretKey, matrix_or_quiver) -> tuple[KeyViolation, ...]:
     differ; k0 occurs in the sequence; some index adjacent to k0 in the
     quiver appears before the first occurrence of k0.
     """
-    adjacency = _adjacency(matrix_or_quiver)
-    r = len(adjacency)
+    if isinstance(matrix_or_quiver, Quiver):
+        matrix = matrix_or_quiver.to_matrix()
+    else:
+        matrix = matrix_or_quiver
+    r = matrix.n
     violations = []
     indices = (key.k0,) + key.seq
     if any(not 0 <= k < r for k in indices):
@@ -244,7 +233,9 @@ def validate_key(key: SecretKey, matrix_or_quiver) -> tuple[KeyViolation, ...]:
         )
     else:
         first = key.seq.index(key.k0)
-        if not any(k in adjacency[key.k0] for k in key.seq[:first]):
+        # sign-skew-symmetry: row k0's nonzero entries are k0's neighbours
+        adjacent = matrix.rows[key.k0]
+        if not any(adjacent[k] for k in key.seq[:first]):
             violations.append(
                 KeyViolation(
                     "no-adjacent-before-hide",

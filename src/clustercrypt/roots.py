@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .cluster import breadth_first
 from .errors import InvalidMatrixError, NotFiniteTypeError
 
 Cartan = tuple[tuple[int, ...], ...]
@@ -123,24 +124,19 @@ def generate_root_system(cartan: Cartan, bound: int = 10_000) -> RootSystem:
     simple = tuple(
         tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
     )
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        beta = frontier.pop()
+
+    def reflections(beta):
         for i in range(n):
             # s_i(beta) = beta - <beta, alpha_i> alpha_i with
             # <beta, alpha_i> = sum_j beta_j a_ji
             c = sum(beta[j] * cartan[j][i] for j in range(n))
-            reflected = list(beta)
-            reflected[i] -= c
-            reflected = tuple(reflected)
-            if reflected not in roots:
-                roots.add(reflected)
-                frontier.append(reflected)
-                if len(roots) > bound:
-                    raise NotFiniteTypeError(
-                        f"reflection closure exceeded {bound} roots"
-                    )
+            yield beta[:i] + (beta[i] - c,) + beta[i + 1 :]
+
+    roots = []
+    for index, beta, _ in breadth_first(simple, reflections, lambda beta: beta):
+        if index >= bound:
+            raise NotFiniteTypeError(f"reflection closure exceeded {bound} roots")
+        roots.append(beta)
     positive = tuple(
         sorted(r for r in roots if all(x >= 0 for x in r))
     )

@@ -444,15 +444,6 @@ def _coeffs_in(a: Polynomial, v: int) -> list[Polynomial]:
     return [Polynomial(a.nvars, a.p, b) for b in buckets]
 
 
-def _from_coeffs(coeffs: list[Polynomial], v: int, nvars: int, p: int) -> Polynomial:
-    total = Polynomial.zero(nvars, p)
-    shift = [0] * nvars
-    for d, c in enumerate(coeffs):
-        shift[v] = d
-        total = total + c.mul_monomial(tuple(shift))
-    return total
-
-
 def _content_and_primitive(a: Polynomial, v: int) -> tuple[Polynomial, Polynomial]:
     coeffs = _coeffs_in(a, v)
     content = Polynomial.zero(a.nvars, a.p)
@@ -755,26 +746,3 @@ def apply_symbolic_sequence(seed: SymbolicSeed, ks: Sequence[int]) -> SymbolicSe
     for k in ks:
         seed = rf_mutate(seed, k)
     return seed
-
-
-# --- module-level wrappers (operation surface) -------------------------------
-
-
-def substitute(
-    rf: RationalFunction, var: int, replacement: RationalFunction
-) -> RationalFunction:
-    return rf.substitute(var, replacement)
-
-
-def evaluate(
-    rf: RationalFunction, point: Sequence[Element], params: FieldParams
-) -> Element:
-    return rf.evaluate(point, params)
-
-
-def reduce_fraction(rf: RationalFunction) -> RationalFunction:
-    return rf.reduce()
-
-
-def denominator_vector(rf: RationalFunction) -> tuple[int, ...]:
-    return rf.denominator_vector()

@@ -79,6 +79,18 @@ class TestEnumeration:
         with pytest.raises(BudgetExceededError):
             graph_for("A", 4, budget=10)
 
+    def test_budget_is_the_largest_allowed_vertex_count(self):
+        assert graph_for("A", 3, budget=14).n_vertices == 14
+        with pytest.raises(BudgetExceededError, match="exceeded 13 vertices"):
+            graph_for("A", 3, budget=13)
+
+    def test_a3_adjacency_is_pinned(self):
+        assert A3_GRAPH.adjacency == (
+            (1, 2, 3), (0, 4, 5), (0, 6, 7), (0, 5, 8), (1, 6, 9),
+            (1, 3, 10), (2, 4, 11), (2, 8, 11), (3, 7, 12), (4, 10, 13),
+            (5, 9, 12), (6, 7, 13), (8, 10, 13), (9, 11, 12),
+        )
+
     def test_point_recorded_for_reproducibility(self):
         g1 = graph_for("A", 3)
         g2 = graph_for("A", 3)
@@ -205,6 +217,14 @@ class TestSymbolicEnumeration:
         matrix = dynkin_exchange_matrix(DynkinSpec("A", 2))
         assert len(enumerate_symbolic_seeds(matrix)) == 5
         assert len(cluster_variables(matrix)) == 5
+
+    def test_budget_is_the_largest_allowed_seed_count(self):
+        matrix = dynkin_exchange_matrix(DynkinSpec("A", 2))
+        assert len(enumerate_symbolic_seeds(matrix, budget=5)) == 5
+        with pytest.raises(
+            BudgetExceededError, match="symbolic enumeration exceeded 4 seeds"
+        ):
+            enumerate_symbolic_seeds(matrix, budget=4)
 
     def test_fingerprints_separate_variables(self):
         # distinct canonical forms must evaluate to distinct fingerprints

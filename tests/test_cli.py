@@ -253,6 +253,13 @@ class TestGraphProbe:
     def test_graph_needs_arguments(self):
         assert main(["graph"]) == 64
 
+    def test_graph_budget_is_usage_error(self, capsys):
+        code = main(["graph", "--family", "A", "--rank", "4", "--budget", "10"])
+        assert code == 64
+        captured = capsys.readouterr()
+        assert "exchange graph exceeded 10 vertices" in captured.err
+        assert captured.out == ""
+
     def test_graph_json(self, capsys):
         assert main(["graph", "--family", "B", "--rank", "2", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -11,6 +11,7 @@ from clustercrypt.cluster import (
     NumericSeed,
     Quiver,
     apply_sequence,
+    breadth_first,
     cartan_counterpart,
     classify_cartan,
     dynkin_exchange_matrix,
@@ -238,6 +239,37 @@ class TestQuiver:
         assert "x0 -> x1" in dot
 
 
+class TestBreadthFirst:
+    def test_discovery_order_and_neighbour_indices(self):
+        # integers under x+1 and 2x, one state per residue mod 6; the
+        # first representative found is kept (7, not the later 1)
+        walk = breadth_first([0, 7, 1], lambda x: [x + 1, 2 * x], lambda x: x % 6)
+        assert list(walk) == [
+            (0, 0, [1, 0]),
+            (1, 7, [2, 2]),
+            (2, 8, [3, 4]),
+            (3, 9, [4, 0]),
+            (4, 16, [5, 2]),
+            (5, 17, [0, 4]),
+        ]
+
+    def test_stops_early_without_expanding(self):
+        expanded = []
+
+        def neighbours(x):
+            expanded.append(x)
+            return [x + 1]
+
+        for index, _, _ in breadth_first([0], neighbours, lambda x: x):
+            if index == 3:
+                break
+        assert expanded == [0, 1, 2]
+
+
+A3_DYNKIN = ((0, 1, 0), (-1, 0, -1), (0, 1, 0))
+MARKOV = ((0, 2, -2), (-2, 0, 2), (2, -2, 0))
+
+
 class TestFiniteType:
     def test_dynkin_input_is_immediate(self):
         res = is_finite_type(dynkin_exchange_matrix(DynkinSpec("A", 3)))
@@ -254,6 +286,28 @@ class TestFiniteType:
     def test_budget_verdict(self):
         markov = ExchangeMatrix(((0, 2, -2), (-2, 0, 2), (2, -2, 0)))
         assert is_finite_type(markov, budget=1).verdict in ("not_finite", "unknown")
+
+    @pytest.mark.parametrize(
+        "rows,budget,expected",
+        [
+            (A3_DYNKIN, 100_000, ("finite", "A", 3, 1)),
+            (((0, 1, -1), (-1, 0, 1), (1, -1, 0)), 100_000, ("finite", "A", 3, 2)),
+            (((0, 1, -1), (-1, 0, 1), (1, -1, 0)), 1, ("unknown", None, None, 1)),
+            (MARKOV, 100_000, ("not_finite", None, None, 2)),
+            (MARKOV, 2, ("not_finite", None, None, 2)),
+            (MARKOV, 1, ("unknown", None, None, 1)),
+            (MARKOV, 0, ("unknown", None, None, 0)),
+            # not symmetrizable: the first mutation leaves sign-skew-symmetry
+            (
+                ((0, 1, -1), (-2, 0, 1), (1, -3, 0)),
+                100_000,
+                ("not_finite", None, None, 1),
+            ),
+        ],
+    )
+    def test_exact_results(self, rows, budget, expected):
+        res = is_finite_type(ExchangeMatrix(rows), budget=budget)
+        assert (res.verdict, res.family, res.rank, res.explored) == expected
 
     @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("D", 5), ("G", 2)])
     def test_families_recognized_after_scrambling(self, family, rank):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from clustercrypt.cluster import DynkinSpec
+from clustercrypt.cluster import DynkinSpec, Quiver
 from clustercrypt.crypto import (
     DEFAULT_ALPHABET,
     CiphertextSeed,
@@ -158,6 +158,24 @@ class TestKeyValidation:
         # vertices 3,4 are not adjacent to 0 in the A_5 quiver
         violations = validate_key(SecretKey(0, (3, 4, 0)), EX1.initial_matrix())
         assert [v.code for v in violations] == ["no-adjacent-before-hide"]
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            EX1_KEY,
+            SecretKey(2, (1, 3, 1)),
+            SecretKey(0, (5, 0)),
+            SecretKey(1, (1, 1)),
+            SecretKey(1, (1, 1, 0)),
+            SecretKey(0, (0, 1, 0)),
+            SecretKey(0, (3, 4, 0)),
+        ],
+    )
+    def test_quiver_gives_the_same_violations(self, key):
+        matrix = EX1.initial_matrix()
+        assert validate_key(key, Quiver.from_matrix(matrix)) == validate_key(
+            key, matrix
+        )
 
     def test_every_constraint_has_one_code(self):
         codes = set()

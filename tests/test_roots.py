@@ -60,6 +60,11 @@ class TestGeneration:
         with pytest.raises(NotFiniteTypeError):
             generate_root_system(((2, -2), (-2, 2)), bound=100)
 
+    def test_bound_is_the_largest_allowed_root_count(self):
+        assert len(generate_root_system(standard_cartan("G", 2), bound=12).roots) == 12
+        with pytest.raises(NotFiniteTypeError, match="exceeded 11 roots"):
+            generate_root_system(standard_cartan("G", 2), bound=11)
+
     def test_negation_symmetry(self):
         rs = generate_root_system(standard_cartan("D", 5))
         roots = set(rs.roots)
