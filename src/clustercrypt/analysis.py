@@ -74,14 +74,6 @@ class ExchangeGraph:
         """Distinct ordered seeds: r! per class (cluster values are distinct)."""
         return self.n_vertices * math.factorial(self.rank)
 
-    def adjacency_matrix(self) -> list[list[int]]:
-        n = self.n_vertices
-        rows = [[0] * n for _ in range(n)]
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                rows[u][v] += 1
-        return rows
-
     def is_regular(self) -> bool:
         return all(
             len(nbrs) == self.rank and len(set(nbrs)) == self.rank and u not in nbrs
@@ -195,26 +187,21 @@ def _mutate_values(values, rows: Rows, k: int, p: int):
 
 
 def path_count(graph: ExchangeGraph, u: int, v: int, t: int) -> int:
-    """(M^t)_{uv} by fast exponentiation with exact integers."""
+    """Walks of length t from u to v: (M^t)_{uv}, pushed along the adjacency lists."""
     if t < 0:
         raise ValueError("walk length must be >= 0")
     n = graph.n_vertices
-    result = [[int(i == j) for j in range(n)] for i in range(n)]
-    acc = graph.adjacency_matrix()
-    while t:
-        if t & 1:
-            result = _mat_mul(result, acc)
-        acc = _mat_mul(acc, acc)
-        t >>= 1
-    return result[u][v]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    bt = list(zip(*b))
-    return [
-        [sum(x * y for x, y in zip(row, col)) for col in bt] for row in a
-    ]
+    for w in (u, v):
+        if not 0 <= w < n:
+            raise ValueError(f"vertex {w} outside [0, {n})")
+    counts = {u: 1}
+    for _ in range(t):
+        following: dict[int, int] = {}
+        for x, c in counts.items():
+            for y in graph.adjacency[x]:
+                following[y] = following.get(y, 0) + c
+        counts = following
+    return counts.get(v, 0)
 
 
 @dataclass(frozen=True)

@@ -59,9 +59,6 @@ class ExchangeMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def row(self, k: int) -> tuple[int, ...]:
-        return self.rows[k]
-
     def is_skew_symmetric(self) -> bool:
         return all(
             self.rows[i][j] == -self.rows[j][i]
@@ -157,18 +154,6 @@ class Quiver:
             rows[i][j] = m
             rows[j][i] = -m
         return ExchangeMatrix.from_lists(rows)
-
-    def multiplicity(self, i: int, j: int) -> int:
-        return dict(self.arrows).get((i, j), 0)
-
-    def neighbors(self, k: int) -> tuple[int, ...]:
-        out = set()
-        for (i, j), _ in self.arrows:
-            if i == k:
-                out.add(j)
-            elif j == k:
-                out.add(i)
-        return tuple(sorted(out))
 
     def to_dot(self, name: str = "quiver") -> str:
         lines = [f"digraph {name} {{"]

@@ -53,17 +53,11 @@ def is_prime(n: int) -> bool:
 
 
 def fp_inv(a: int, p: int) -> int:
-    """Multiplicative inverse of a mod p via extended Euclid."""
+    """Multiplicative inverse of a mod p (p prime)."""
     a %= p
     if a == 0:
         raise NonInvertibleError(f"0 has no inverse mod {p}")
-    t, new_t = 0, 1
-    r, new_r = p, a
-    while new_r:
-        q = r // new_r
-        t, new_t = new_t, t - q * new_t
-        r, new_r = new_r, r - q * new_r
-    return t % p
+    return pow(a, -1, p)
 
 
 # --- dense polynomials over Z_p, ascending coefficient lists -------------
@@ -251,13 +245,6 @@ class FieldParams:
         coords[i] = 1
         return tuple(coords)
 
-    def element(self, coords: Sequence[int]) -> Element:
-        if len(coords) != self.r:
-            raise InvalidPolynomialError(
-                f"element needs {self.r} coordinates, got {len(coords)}"
-            )
-        return tuple(c % self.p for c in coords)
-
     def to_dict(self) -> dict:
         return {"p": self.p, "r": self.r, "f": list(self.f)}
 
@@ -269,11 +256,6 @@ class FieldParams:
 def ext_add(a: Element, b: Element, params: FieldParams) -> Element:
     p = params.p
     return tuple((x + y) % p for x, y in zip(a, b))
-
-
-def ext_sub(a: Element, b: Element, params: FieldParams) -> Element:
-    p = params.p
-    return tuple((x - y) % p for x, y in zip(a, b))
 
 
 def scalar_mul(c: int, a: Element, params: FieldParams) -> Element:
@@ -307,10 +289,6 @@ def ext_inv(a: Element, params: FieldParams) -> Element:
     out = [c * inv_c % p for c in t]
     out += [0] * (params.r - len(out))
     return tuple(out[: params.r])
-
-
-def ext_div(a: Element, b: Element, params: FieldParams) -> Element:
-    return ext_mul(a, ext_inv(b, params), params)
 
 
 def ext_pow(a: Element, e: int, params: FieldParams) -> Element:

@@ -9,6 +9,7 @@ arbitrary roots use the symmetrized Gram matrix, exactly (Fractions).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -190,10 +191,7 @@ def check_root_axioms(rs: RootSystem) -> AxiomReport:
                 failures.append(f"R2: {beta} is a multiple of {alpha}")
                 break
     # integer Gram: scale by the lcm of the symmetrizer denominators
-    scale = 1
-    for row in rs.gram:
-        for entry in row:
-            scale = scale * entry.denominator // _gcd(scale, entry.denominator)
+    scale = math.lcm(*(entry.denominator for row in rs.gram for entry in row))
     gram_int = [
         [int(entry * scale) for entry in row] for row in rs.gram
     ]
@@ -231,12 +229,6 @@ def check_root_axioms(rs: RootSystem) -> AxiomReport:
                     f"pair product <a,b><b,a> out of range for {alpha},{beta}"
                 )
     return AxiomReport(not failures, tuple(failures))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _is_scalar_multiple(alpha: Sequence[int], beta: Sequence[int]) -> bool:

@@ -374,7 +374,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return _monic(a)
     ca, cb = a.monomial_content(), b.monomial_content()
     common = tuple(min(x, y) for x, y in zip(ca, cb))
-    g = _gcd_content_free(a.divide_by_monomial(ca), b.divide_by_monomial(cb))
+    g = _content_free_gcd(a.divide_by_monomial(ca), b.divide_by_monomial(cb))
     return _monic(g.mul_monomial(common))
 
 
@@ -387,7 +387,7 @@ def _monic(a: Polynomial) -> Polynomial:
     return a * fields.fp_inv(c, a.p)
 
 
-def _gcd_content_free(a: Polynomial, b: Polynomial) -> Polynomial:
+def _content_free_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if a.is_constant() or b.is_constant():
         return Polynomial.one(a.nvars, a.p)
     shared = [

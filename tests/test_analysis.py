@@ -108,10 +108,9 @@ class TestPathCounting:
         assert path_count(PENTAGON, 0, 1, 0) == 0
 
     def test_length_one_is_adjacency(self):
-        rows = PENTAGON.adjacency_matrix()
         for u in range(5):
             for v in range(5):
-                assert path_count(PENTAGON, u, v, 1) == rows[u][v]
+                assert path_count(PENTAGON, u, v, 1) == PENTAGON.adjacency[u].count(v)
 
     @pytest.mark.parametrize("t", range(9))
     def test_total_walks_are_regular_powers(self, t):
@@ -120,6 +119,32 @@ class TestPathCounting:
                 path_count(graph, 0, v, t) for v in range(graph.n_vertices)
             )
             assert total == graph.rank**t
+
+    @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("B", 3), ("D", 4)])
+    def test_matches_dense_matrix_powers(self, family, rank):
+        # oracle: (M^t)_{uv} from the dense adjacency matrix, one power at a time
+        graph = graph_for(family, rank)
+        n = graph.n_vertices
+        adjacency = [[graph.adjacency[u].count(v) for v in range(n)] for u in range(n)]
+        power = [[int(u == v) for v in range(n)] for u in range(n)]
+        for t in range(13):
+            for u in range(n):
+                for v in range(n):
+                    assert path_count(graph, u, v, t) == power[u][v]
+            power = [
+                [sum(power[u][w] * adjacency[w][v] for w in range(n)) for v in range(n)]
+                for u in range(n)
+            ]
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            path_count(PENTAGON, 0, 0, -1)
+
+    @pytest.mark.parametrize("u,v", [(-5, 0), (0, -5), (-5, -5), (5, 0), (0, 5), (-1, 4)])
+    def test_vertex_outside_graph_rejected(self, u, v):
+        # a negative index must not wrap round to a real vertex
+        with pytest.raises(ValueError, match="outside"):
+            path_count(PENTAGON, u, v, 2)
 
 
 class TestDfsPaths:

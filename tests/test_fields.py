@@ -66,16 +66,18 @@ class TestIrreducibility:
     def test_degree_one_always_irreducible(self):
         assert is_irreducible([4, 1], 5)
 
-    def test_trial_division_agrees_with_power_test(self):
-        # Dual-route check: the fast test must match exhaustive trial
-        # division wherever the latter is feasible.
-        rng = random.Random(11)
-        for _ in range(60):
-            p = rng.choice([2, 3, 5])
-            deg = rng.randrange(2, 6)
-            f = [rng.randrange(p) for _ in range(deg)] + [1]
-            by_trial = _trial_division_verdict(f, p)
-            assert is_irreducible(f, p) == by_trial
+    def test_trial_division_agrees_with_power_test(self, monkeypatch):
+        # Dual-route check: with the trial-division limit at 0 every input
+        # takes the Rabin power test, which must match exhaustive trial
+        # division on every monic polynomial of these small spaces.
+        monkeypatch.setattr(fields, "_TRIAL_DIVISION_LIMIT", 0)
+        checked = 0
+        for p, max_deg in ((2, 9), (3, 6), (5, 4), (7, 3)):
+            for deg in range(2, max_deg + 1):
+                for f in fields._monic_polys(deg, p):
+                    assert is_irreducible(f, p) == _trial_division_verdict(f, p), (f, p)
+                    checked += 1
+        assert checked == 3276
 
     def test_power_test_on_large_space(self):
         # candidate space > trial threshold: product of two irreducibles
