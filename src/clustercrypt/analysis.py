@@ -31,10 +31,7 @@ from .cluster import (
     is_finite_type,
     matrix_mutate,
 )
-from .errors import (
-    BudgetExceededError,
-    NotFiniteTypeError,
-)
+from .errors import BudgetExceededError, NotFiniteTypeError
 from .fields import fp_inv
 from .roots import generate_root_system
 from .symbolic import (
@@ -88,7 +85,7 @@ class ExchangeGraph:
 
 
 class _PointCollision(Exception):
-    """Evaluation point hit a zero/duplicate fingerprint; retry."""
+    """Zero, duplicate or merged fingerprints at the evaluation point; retry."""
 
 
 def enumerate_exchange_graph(
@@ -98,10 +95,10 @@ def enumerate_exchange_graph(
 ) -> ExchangeGraph:
     """BFS over mutation classes of (values, matrix) fingerprint seeds.
 
-    Requires finite type (checked first). Canonical form sorts the
-    fingerprints ascending and relabels the matrix accordingly; a fresh
+    Requires finite type (checked first). A vertex is keyed by its sorted
+    fingerprints and stored with the matrix relabelled to match; a fresh
     evaluation point is derived deterministically and re-derived on the
-    (astronomically rare) zero or duplicate fingerprint.
+    (astronomically rare) zero, duplicate or merged fingerprints.
     """
     verdict = is_finite_type(matrix)
     if not verdict.is_finite:
@@ -119,55 +116,63 @@ def enumerate_exchange_graph(
     raise BudgetExceededError("no usable fingerprint point after 10 attempts")
 
 
-def _canonical_state(values, matrix: ExchangeMatrix):
-    if len(set(values)) != len(values):
-        raise _PointCollision
-    order = tuple(sorted(range(len(values)), key=values.__getitem__))
-    return tuple(values[i] for i in order), matrix.permuted(order).rows
-
-
 def _enumerate_at_point(
     matrix: ExchangeMatrix, point, p: int, budget: int
 ) -> ExchangeGraph:
     n = matrix.n
-
-    def mutations(state):
-        values, rows = state
-        current = ExchangeMatrix(rows)
-        for k in range(n):
-            new_values = _mutate_values(values, rows, k, p)
-            yield _canonical_state(new_values, matrix_mutate(current, k))
-
-    states = []
-    neighbors = []
-    walk = breadth_first([_canonical_state(point, matrix)], mutations, lambda s: s)
-    for index, state, out in walk:
-        if index >= budget:
-            raise BudgetExceededError(f"exchange graph exceeded {budget} vertices")
-        states.append(state)
-        neighbors.append(out)
-    adjacency = []
+    if len(set(point)) != n:
+        raise _PointCollision
+    seeds, neighbors = _walk_seed_classes(
+        tuple(point), matrix, lambda value: value,
+        lambda values, b, k: _mutate_values(values, b.rows, k, p),
+        budget, f"exchange graph exceeded {budget} vertices",
+    )
+    # Mutation is an involution, so a true exchange graph has only mutual
+    # edges; a fingerprint collision that merges two clusters does not.
     for u, nbrs in enumerate(neighbors):
-        if u in nbrs or len(set(nbrs)) != n:
-            raise _PointCollision  # merged classes: fingerprint accident
-        adjacency.append(tuple(sorted(nbrs)))
-    graph = ExchangeGraph(
+        if u in nbrs or len(set(nbrs)) != n or any(u not in neighbors[v] for v in nbrs):
+            raise _PointCollision
+    return ExchangeGraph(
         rank=n,
-        vertices=tuple(states),
-        adjacency=tuple(adjacency),
+        vertices=tuple((values, current.rows) for values, current in seeds),
+        adjacency=tuple(tuple(sorted(nbrs)) for nbrs in neighbors),
         initial_vertex=0,
         prime=p,
         point=tuple(point),
     )
-    if not graph.is_connected():
-        raise _PointCollision
-    return graph
+
+
+def _walk_seed_classes(entries, matrix, entry_key, mutate, budget, overflow):
+    """Seed classes reachable from (entries, matrix) by mutate(entries, matrix, k).
+
+    A finite-type seed is determined by its cluster (Gekhtman-Shapiro-
+    Vainshtein 2008), so a class is keyed by its sorted entry keys. Returns
+    each class relabelled into key order, the order it is expanded in, and
+    its neighbours' indices, in discovery order.
+    """
+    n = matrix.n
+
+    def neighbours(state):
+        found, keys, current = state
+        for k in sorted(range(n), key=keys.__getitem__):
+            new = mutate(found, current, k)
+            new_keys = keys[:k] + (entry_key(new[k]),) + keys[k + 1:]
+            yield new, new_keys, matrix_mutate(current, k)
+
+    seeds, neighbors = [], []
+    start = (entries, tuple(map(entry_key, entries)), matrix)
+    walk = breadth_first([start], neighbours, lambda state: tuple(sorted(state[1])))
+    for index, (found, keys, current), out in walk:
+        if index >= budget:
+            raise BudgetExceededError(overflow)
+        order = sorted(range(n), key=keys.__getitem__)
+        seeds.append((tuple(found[i] for i in order), current.permuted(order)))
+        neighbors.append(out)
+    return seeds, neighbors
 
 
 def _mutate_values(values, rows: Rows, k: int, p: int):
-    vk = values[k]
-    if vk == 0:
-        raise _PointCollision
+    # values[k] != 0: the point lies in [2, p-2]^n and a new value 0 is rejected
     pos = 1
     neg = 1
     for j, b in enumerate(rows[k]):
@@ -175,8 +180,8 @@ def _mutate_values(values, rows: Rows, k: int, p: int):
             pos = pos * pow(values[j], b, p) % p
         elif b < 0:
             neg = neg * pow(values[j], -b, p) % p
-    new_vk = (pos + neg) * fp_inv(vk, p) % p
-    if new_vk == 0:
+    new_vk = (pos + neg) * fp_inv(values[k], p) % p
+    if new_vk == 0 or new_vk in values:
         raise _PointCollision
     out = list(values)
     out[k] = new_vk
@@ -190,10 +195,7 @@ def path_count(graph: ExchangeGraph, u: int, v: int, t: int) -> int:
     """Walks of length t from u to v: (M^t)_{uv}, pushed along the adjacency lists."""
     if t < 0:
         raise ValueError("walk length must be >= 0")
-    n = graph.n_vertices
-    for w in (u, v):
-        if not 0 <= w < n:
-            raise ValueError(f"vertex {w} outside [0, {n})")
+    _check_vertices(graph, u, v)
     counts = {u: 1}
     for _ in range(t):
         following: dict[int, int] = {}
@@ -202,6 +204,12 @@ def path_count(graph: ExchangeGraph, u: int, v: int, t: int) -> int:
                 following[y] = following.get(y, 0) + c
         counts = following
     return counts.get(v, 0)
+
+
+def _check_vertices(graph: ExchangeGraph, *vertices: int) -> None:
+    for w in vertices:
+        if not 0 <= w < graph.n_vertices:
+            raise ValueError(f"vertex {w} outside [0, {graph.n_vertices})")
 
 
 @dataclass(frozen=True)
@@ -214,6 +222,7 @@ class PathSearch:
 
 def dfs_paths(graph: ExchangeGraph, u: int, v: int, max_len: int = 12) -> PathSearch:
     """Depth-first search for simple paths u -> v of at most max_len edges."""
+    _check_vertices(graph, u, v)
     found: list[tuple[int, ...]] = []
     truncated = False
 
@@ -404,31 +413,13 @@ def enumerate_symbolic_seeds(
     Feasible at small rank only; coefficients live in Z_p with p large to
     emulate characteristic 0.
     """
-    seeds = []
-    walk = breadth_first(
-        [_canonical_symbolic(initial_symbolic_seed(matrix, p))],
-        lambda state: (
-            _canonical_symbolic(rf_mutate(state[1], k)) for k in range(matrix.n)
-        ),
-        lambda state: state[0],
+    start = initial_symbolic_seed(matrix, p)
+    seeds, _ = _walk_seed_classes(
+        start.entries, matrix, RationalFunction.canonical_key,
+        lambda entries, b, k: rf_mutate(SymbolicSeed(entries, b), k).entries,
+        budget, f"symbolic enumeration exceeded {budget} seeds",
     )
-    for index, (_, seed), _ in walk:
-        if index >= budget:
-            raise BudgetExceededError(f"symbolic enumeration exceeded {budget} seeds")
-        seeds.append(seed)
-    return seeds
-
-
-def _canonical_symbolic(seed: SymbolicSeed):
-    """(key, seed) for the seed relabelled so its entries' canonical keys
-    ascend; key is those keys plus the relabelled matrix rows."""
-    keys = [entry.canonical_key() for entry in seed.entries]
-    order = tuple(sorted(range(len(keys)), key=keys.__getitem__))
-    matrix = seed.matrix.permuted(order)
-    return (
-        (tuple(keys[i] for i in order), matrix.rows),
-        SymbolicSeed(tuple(seed.entries[i] for i in order), matrix),
-    )
+    return [SymbolicSeed(entries, current) for entries, current in seeds]
 
 
 def cluster_variables(

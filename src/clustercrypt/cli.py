@@ -23,6 +23,7 @@ from .analysis import (
     verify_seed_list_a3,
 )
 from .cluster import (
+    FAMILIES,
     DynkinSpec,
     NumericSeed,
     Quiver,
@@ -51,6 +52,7 @@ from .errors import (
     DecryptionFailedError,
     EncryptionFailedError,
     InvalidKeyError,
+    InvalidSpecError,
     ZeroMessageError,
 )
 from .fields import FieldParams, element_to_int, int_to_element
@@ -159,8 +161,8 @@ def cmd_decrypt(args) -> int:
     outputs = []
     for line in lines:
         record_params, ct = deserialize_ciphertext(line)
-        if record_params.field != params.field:
-            return _fail_usage("ciphertext field does not match --params")
+        if record_params != params:
+            return _fail_usage("ciphertext params do not match --params")
         message = decrypt(params, key, ct)
         outputs.append(decode_message(message, params))
     if args.format == "json":
@@ -225,13 +227,17 @@ def cmd_probe(args) -> int:
     rows = []
     for family in args.families.split(","):
         family = family.strip().upper()
-        lo = max(args.min_rank, {"A": 1, "B": 2, "C": 2, "D": 4}.get(family, 2))
-        for rank in range(lo, args.max_rank + 1):
+        for rank in range(args.min_rank, args.max_rank + 1):
+            try:
+                spec = DynkinSpec(family, rank)
+            except InvalidSpecError:
+                if family in FAMILIES:
+                    continue  # a rank this family does not have
+                raise
             graph = None
             if not args.no_enumerate:
                 graph = enumerate_exchange_graph(
-                    dynkin_exchange_matrix(DynkinSpec(family, rank)),
-                    budget=args.budget,
+                    dynkin_exchange_matrix(spec), budget=args.budget
                 )
             rows.append(key_recovery_probability(family, rank, graph))
     print(probability_report(rows, fmt=args.format))

@@ -1,9 +1,11 @@
 """Exchange graphs, path counting, probabilities, certifications."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from clustercrypt import analysis
 from clustercrypt.analysis import (
     A3_REFERENCE_CLUSTERS,
     EXCEPTIONAL_REFERENCE_ROWS,
@@ -91,6 +93,44 @@ class TestEnumeration:
             (5, 9, 12), (6, 7, 13), (8, 10, 13), (9, 11, 12),
         )
 
+    # sha256 of repr((vertices, adjacency)) before vertices were keyed by
+    # cluster alone: the rekeying must not move a vertex, an edge or a row
+    @pytest.mark.parametrize(
+        "family,rank,digest",
+        [
+            ("A", 3, "0117f2108a72d8af76a26d4184c3ca8ef85bd2d306e7384acbf341b31395106f"),
+            ("B", 3, "426a7de4a2812989bf962f34e99340b3ca784756eb831f3df94e037a510fb95a"),
+            ("C", 4, "3e5a3a9db566171308cdd393f52c8e24743fbe1aede9a953e070956a01f42572"),
+            ("D", 4, "a49a2f3bde76ae03ea21f637cae0b78447c6ac27f310dcdb2b6b098b8200971b"),
+            ("G", 2, "76e098b58db6c4c82ae6d13d0fceea0f1f0071a2c543f2215b9f69419f4b6f6c"),
+            ("F", 4, "2f64471d54f80e35b6031e1c65b2429c9b6f3b4386c43f98db9cdf75219d5733"),
+            ("E", 6, "b461db0cd9c9f5cb3a8d1f8bced9afc1a2c250016e743fd36d4fab98c838a6e6"),
+        ],
+    )
+    def test_graph_digest_is_pinned(self, family, rank, digest):
+        graph = graph_for(family, rank)
+        text = repr((graph.vertices, graph.adjacency))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_edge_symmetry_rejects_merged_clusters(self):
+        # At (1, 4) mod 11 two B2 clusters share a fingerprint multiset.
+        # Keyed by cluster, the walk merges them: five classes, each with
+        # two distinct neighbours, but some edge is not returned. The walk
+        # from one start is connected whatever it merged, so only the
+        # symmetry of the edges can reject it.
+        matrix = dynkin_exchange_matrix(DynkinSpec("B", 2))
+        p = 11
+        seeds, neighbors = analysis._walk_seed_classes(
+            (1, 4), matrix, lambda value: value,
+            lambda values, b, k: analysis._mutate_values(values, b.rows, k, p),
+            100, "over budget",
+        )
+        assert len(seeds) == 5
+        assert all(u not in nbrs and len(set(nbrs)) == 2 for u, nbrs in enumerate(neighbors))
+        assert any(u not in neighbors[v] for u, nbrs in enumerate(neighbors) for v in nbrs)
+        with pytest.raises(analysis._PointCollision):
+            analysis._enumerate_at_point(matrix, (1, 4), p, 100)
+
     def test_point_recorded_for_reproducibility(self):
         g1 = graph_for("A", 3)
         g2 = graph_for("A", 3)
@@ -165,6 +205,13 @@ class TestDfsPaths:
         result = dfs_paths(PENTAGON, u, v, max_len=0)
         assert result.paths == ()
         assert result.truncated
+
+    @pytest.mark.parametrize("u,v", [(-5, 1), (0, 7), (5, 0), (0, -1)])
+    def test_vertex_outside_graph_rejected(self, u, v):
+        # -5 used to wrap round to vertex 0 and give the path (-5, 2, 0, 1);
+        # 7 used to give no paths with truncated=True
+        with pytest.raises(ValueError, match="outside"):
+            dfs_paths(PENTAGON, u, v, max_len=4)
 
     def test_paths_are_simple_and_deterministic(self):
         result = dfs_paths(A3_GRAPH, 0, 5, max_len=6)
@@ -262,6 +309,22 @@ class TestSymbolicEnumeration:
             variables = cluster_variables(matrix, graph.prime)
             fingerprints = [v.evaluate_int(graph.point) for v in variables]
             assert len(set(fingerprints)) == len(variables)
+
+
+    @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+    def test_symbolic_seeds_are_the_fingerprint_vertices(self, family, rank):
+        # each symbolic seed, evaluated at the graph's point and relabelled
+        # by fingerprint order, is a vertex (values and rows) of the graph
+        graph = graph_for(family, rank)
+        matrix = dynkin_exchange_matrix(DynkinSpec(family, rank))
+        seeds = enumerate_symbolic_seeds(matrix, graph.prime)
+        assert len(seeds) == graph.n_vertices
+        vertices = set()
+        for seed in seeds:
+            values = [entry.evaluate_int(graph.point) for entry in seed.entries]
+            order = sorted(range(rank), key=values.__getitem__)
+            vertices.add((tuple(values[i] for i in order), seed.matrix.permuted(order).rows))
+        assert vertices == set(graph.vertices)
 
 
 class TestDenominatorBijection:

@@ -243,6 +243,48 @@ class TestEncryptDecrypt:
         assert "38927" in capsys.readouterr().out
 
 
+    def test_other_diagram_params_are_usage_error(self, ex1_files, tmp_path, capsys):
+        # the same field GF(2^5) with D5 in place of A5: a params mismatch,
+        # not a wrong key
+        params, key = ex1_files
+        d5 = tmp_path / "d5.json"
+        assert (
+            main(
+                [
+                    "params",
+                    "--p", "2", "--r", "5", "--f", "1,0,1,0,0,1",
+                    "--family", "D", "--rank", "5",
+                    "--out", str(d5),
+                ]
+            )
+            == 0
+        )
+        out = tmp_path / "ct.json"
+        assert (
+            main(
+                [
+                    "encrypt",
+                    "--params", str(d5),
+                    "--key", str(key),
+                    "--message", "F",
+                    "--out", str(out),
+                ]
+            )
+            == 0
+        )
+        capsys.readouterr()
+        code = main(
+            [
+                "decrypt",
+                "--params", str(params),
+                "--key", str(key),
+                "--ciphertext", str(out),
+            ]
+        )
+        assert code == 64
+        assert "do not match --params" in capsys.readouterr().err
+
+
 class TestGraphProbe:
     def test_graph_counts(self, capsys):
         assert main(["graph", "--family", "A", "--rank", "3"]) == 0
@@ -281,6 +323,21 @@ class TestGraphProbe:
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("family,rank,")
         assert "False" in out  # the A-family closed-form flag
+
+
+    def test_probe_takes_each_family_at_the_ranks_it_has(self, capsys):
+        # G has rank 2 only and F rank 4 only: the other ranks are skipped
+        assert (
+            main(["probe", "--families", "G,F", "--max-rank", "4", "--format", "csv"])
+            == 0
+        )
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        enumerated = [row[:3] for row in rows if row[2]]
+        assert enumerated == [["G", "2", "8"], ["F", "4", "105"]]
+
+    def test_probe_unknown_family_is_usage_error(self, capsys):
+        assert main(["probe", "--families", "X"]) == 64
+        assert "unknown family" in capsys.readouterr().err
 
 
 class TestSelftest:
