@@ -8,11 +8,11 @@ tabulates 1/(N_C * r!) against the reference closed forms.
 
 Graph vertices are seeds up to relabelling. Enumeration keys each seed
 by the multiset of its cluster-variable fingerprints: evaluations of the
-(reduced) variables at a fixed pseudo-random point over a large prime
-field. The point and prime are recorded on the graph for
-reproducibility, and at small rank the fingerprints carry a symbolic
-certificate (distinct fingerprints = distinct variables, checked by
-actual rational-function comparison).
+variables at a fixed pseudo-random point over a large prime field. The
+point and prime are recorded on the graph for reproducibility, and at
+small rank the fingerprints carry a symbolic certificate (distinct
+fingerprints = distinct variables, checked by actual rational-function
+comparison).
 """
 
 from __future__ import annotations
@@ -425,13 +425,13 @@ def enumerate_symbolic_seeds(
 def cluster_variables(
     matrix: ExchangeMatrix, p: int = FINGERPRINT_PRIME, budget: int = 5_000
 ) -> list[RationalFunction]:
-    """Every distinct cluster variable of a finite-type seed, reduced."""
+    """Every distinct cluster variable of a finite-type seed, in lowest terms."""
     seen = {}
     for seed in enumerate_symbolic_seeds(matrix, p, budget):
         for entry in seed.entries:
             key = entry.canonical_key()
             if key not in seen:
-                seen[key] = entry.reduce()
+                seen[key] = entry
     return list(seen.values())
 
 
@@ -485,7 +485,7 @@ class SeedListReport:
 def verify_seed_list_a3(graph: ExchangeGraph) -> SeedListReport:
     """Certify an enumerated A_3 graph against the 14 reference clusters.
 
-    Clusters are compared symbolically (sets of reduced rational
+    Clusters are compared symbolically (sets of canonical keys of rational
     functions over a large prime coefficient field), and each symbolic
     cluster is tied back to the supplied graph through its fingerprints
     at the graph's recorded evaluation point.

@@ -227,6 +227,7 @@ def cmd_probe(args) -> int:
     rows = []
     for family in args.families.split(","):
         family = family.strip().upper()
+        before = len(rows)
         for rank in range(args.min_rank, args.max_rank + 1):
             try:
                 spec = DynkinSpec(family, rank)
@@ -240,6 +241,9 @@ def cmd_probe(args) -> int:
                     dynkin_exchange_matrix(spec), budget=args.budget
                 )
             rows.append(key_recovery_probability(family, rank, graph))
+        if len(rows) == before:
+            span = f"[{args.min_rank}, {args.max_rank}]"
+            print(f"probe: no {family} rank in {span}; skipped", file=sys.stderr)
     print(probability_report(rows, fmt=args.format))
     return EX_OK
 

@@ -316,13 +316,6 @@ class DynkinSpec:
             d["orientation"] = [list(e) for e in self.orientation]
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DynkinSpec":
-        orientation = d.get("orientation", "default")
-        if orientation != "default":
-            orientation = tuple((int(i), int(j)) for i, j in orientation)
-        return cls(str(d["family"]), int(d["rank"]), orientation)
-
 
 def _tree_adjacency(edges, n) -> dict[int, list[int]]:
     adjacency = {v: [] for v in range(n)}

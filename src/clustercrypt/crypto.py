@@ -43,7 +43,7 @@ from .errors import (
     UnknownSymbolError,
     ZeroMessageError,
 )
-from .fields import Element, FieldParams
+from .fields import Element, FieldParams, wire_int
 from .symbolic import (
     Polynomial,
     RationalFunction,
@@ -100,7 +100,8 @@ class SecretKey:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SecretKey":
-        return cls(int(d["k0"]), tuple(int(k) for k in d["seq"]))
+        seq = tuple(wire_int(k, "seq entry") for k in d["seq"])
+        return cls(wire_int(d["k0"], "k0"), seq)
 
 
 @dataclass(frozen=True)
@@ -147,10 +148,16 @@ class SystemParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemParams":
-        return cls(
-            field=FieldParams.from_dict(d),
-            diagram=DynkinSpec.from_dict(d["diagram"]),
-        )
+        """Params from their file form; every integer must be a JSON integer."""
+        diagram = d["diagram"]
+        if not isinstance(diagram, dict):
+            raise ParseError("diagram is not an object")
+        orientation = diagram.get("orientation", "default")
+        if orientation != "default":
+            orientation = [[wire_int(v, "orientation") for v in e] for e in orientation]
+        rank = wire_int(diagram["rank"], "diagram rank")
+        spec = DynkinSpec(str(diagram["family"]), rank, orientation)
+        return cls(FieldParams.from_dict(d), spec)
 
 
 # --- message codec -----------------------------------------------------------
@@ -412,15 +419,23 @@ def deserialize_ciphertext(data: bytes) -> tuple[SystemParams, CiphertextSeed]:
         raise ParseError(f"bad JSON: {exc.msg}", position=exc.pos) from exc
     if not isinstance(payload, dict):
         raise ParseError("payload is not an object")
-    if payload.get("v") != WIRE_VERSION:
-        raise ParseError(f"unsupported version {payload.get('v')!r}")
+    version = payload.get("v")
+    if type(version) is not int or version != WIRE_VERSION:
+        raise ParseError(f"unsupported version {version!r}")
     missing = {"p", "r", "f", "diagram", "matrix", "values"} - payload.keys()
     if missing:
         raise ParseError(f"missing fields {sorted(missing)}")
     try:
         params = SystemParams.from_dict(payload)
-        matrix = ExchangeMatrix.from_lists(payload["matrix"])
-        values = tuple(tuple(int(d) for d in v) for v in payload["values"])
+        matrix = ExchangeMatrix(
+            tuple(
+                tuple(wire_int(b, "matrix entry") for b in row)
+                for row in payload["matrix"]
+            )
+        )
+        values = tuple(
+            tuple(wire_int(d, "digit") for d in v) for v in payload["values"]
+        )
         ct = CiphertextSeed(values, matrix)
     except ParseError:
         raise

@@ -49,7 +49,7 @@ class MutationDivisionError(ClusterCryptError):
 
 
 class NotDivisibleError(ClusterCryptError):
-    """Exact polynomial division requested but divisor does not divide."""
+    """Divisor does not divide; in symbolic mutation, a bug (Laurent phenomenon)."""
 
 
 class DegenerateSubstitutionError(ClusterCryptError):
@@ -61,7 +61,7 @@ class DenominatorVanishesError(ClusterCryptError):
 
 
 class NotClusterShapedError(ClusterCryptError):
-    """Denominator is not a monomial, so no denominator vector exists."""
+    """Denominator is not a monomial: no denominator vector or canonical key."""
 
 
 class ZeroMessageError(ClusterCryptError):

@@ -19,6 +19,7 @@ from .errors import (
     InvalidPolynomialError,
     NonInvertibleError,
     OutOfRangeError,
+    ParseError,
 )
 
 Element = tuple[int, ...]
@@ -26,6 +27,13 @@ Element = tuple[int, ...]
 # Miller-Rabin with these bases is deterministic below 3.3 * 10^24,
 # far beyond any modulus this package meets.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def wire_int(value, what: str) -> int:
+    """A JSON integer read from a file; bool, float and str are rejected."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def is_prime(n: int) -> bool:
@@ -250,7 +258,8 @@ class FieldParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FieldParams":
-        return cls(p=int(d["p"]), r=int(d["r"]), f=tuple(int(c) for c in d["f"]))
+        f = tuple(wire_int(c, "modulus coefficient") for c in d["f"])
+        return cls(wire_int(d["p"], "p"), wire_int(d["r"], "r"), f)
 
 
 def ext_add(a: Element, b: Element, params: FieldParams) -> Element:

@@ -9,10 +9,12 @@ Coefficients live in Z_p (for cryptographic use, the field's own prime;
 for characteristic-zero-style comparisons, a large prime). The term
 order is graded lexicographic with variable 0 highest, fixed globally.
 
-Mutation keeps denominators monomial by structural cancellation (the
-exchange binomial is exactly divisible by the numerator of the entry
-being replaced, for cluster-variable entries), so the multivariate GCD
-is only ever needed by analysis paths, never by the cipher.
+By the Laurent phenomenon (Fomin-Zelevinsky, "Cluster algebras I", Thm
+3.1) every seed entry is a polynomial over a monomial, and cancelling
+common monomial content, as the constructor does, puts such a fraction
+in lowest terms. A failed exact division in mutation, or a canonical key
+asked of a fraction over a non-monomial, raises instead of being patched
+over.
 """
 
 from __future__ import annotations
@@ -98,9 +100,6 @@ class Polynomial:
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.nvars, 0)
 
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def degree_in(self, v: int) -> int:
         return max((e[v] for e in self.terms), default=0)
 
@@ -173,8 +172,8 @@ class Polynomial:
 
     # -- exact division and monomial content
 
-    def exact_div(self, divisor: "Polynomial") -> Optional["Polynomial"]:
-        """Quotient when divisor divides exactly, else None."""
+    def divide_exact(self, divisor: "Polynomial") -> "Polynomial":
+        """Quotient by a divisor that divides exactly; NotDivisibleError else."""
         self._check(divisor)
         if divisor.is_zero():
             raise NotDivisibleError("division by the zero polynomial")
@@ -186,7 +185,9 @@ class Polynomial:
             e = max(rem, key=_order_key)
             diff = tuple(a - b for a, b in zip(e, lead_e))
             if any(d < 0 for d in diff):
-                return None
+                raise NotDivisibleError(
+                    f"{divisor.render()} does not divide {self.render()}"
+                )
             c = rem[e] * inv_lead % self.p
             quotient[diff] = c
             for de, dc in divisor.terms.items():
@@ -197,14 +198,6 @@ class Polynomial:
                 else:
                     rem.pop(key, None)
         return Polynomial(self.nvars, self.p, quotient)
-
-    def divide_exact(self, divisor: "Polynomial") -> "Polynomial":
-        q = self.exact_div(divisor)
-        if q is None:
-            raise NotDivisibleError(
-                f"{divisor.render()} does not divide {self.render()}"
-            )
-        return q
 
     def monomial_content(self) -> Exponents:
         """Entrywise minimum exponent vector (zero vector for 0)."""
@@ -222,13 +215,6 @@ class Polynomial:
             self.nvars,
             self.p,
             {tuple(a - b for a, b in zip(e, exps)): c for e, c in self.terms.items()},
-        )
-
-    def mul_monomial(self, exps: Exponents) -> "Polynomial":
-        return Polynomial(
-            self.nvars,
-            self.p,
-            {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()},
         )
 
     # -- evaluation
@@ -359,123 +345,14 @@ def _parse_polynomial(text: str, nvars: int, p: int) -> Polynomial:
     return total
 
 
-# --- multivariate gcd -------------------------------------------------------
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic multivariate gcd via recursive one-variable Euclid.
-
-    Analysis-grade only: canonical fraction reduction and denominator
-    vectors; the mutation hot path never calls this.
-    """
-    if a.is_zero():
-        return _monic(b)
-    if b.is_zero():
-        return _monic(a)
-    ca, cb = a.monomial_content(), b.monomial_content()
-    common = tuple(min(x, y) for x, y in zip(ca, cb))
-    g = _content_free_gcd(a.divide_by_monomial(ca), b.divide_by_monomial(cb))
-    return _monic(g.mul_monomial(common))
-
-
-def _monic(a: Polynomial) -> Polynomial:
-    if a.is_zero():
-        return a
-    _, c = a.leading()
-    if c == 1:
-        return a
-    return a * fields.fp_inv(c, a.p)
-
-
-def _content_free_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    if a.is_constant() or b.is_constant():
-        return Polynomial.one(a.nvars, a.p)
-    shared = [
-        v for v in range(a.nvars) if a.degree_in(v) > 0 and b.degree_in(v) > 0
-    ]
-    if not shared:
-        return Polynomial.one(a.nvars, a.p)
-    v = min(shared, key=lambda w: max(a.degree_in(w), b.degree_in(w)))
-    others = [
-        w for w in range(a.nvars) if w != v and (a.degree_in(w) or b.degree_in(w))
-    ]
-    if not others:
-        return _univariate_gcd(a, b, v)
-    content_a, prim_a = _content_and_primitive(a, v)
-    content_b, prim_b = _content_and_primitive(b, v)
-    content_gcd = poly_gcd(content_a, content_b)
-    while not prim_b.is_zero():
-        r = _pseudo_rem(prim_a, prim_b, v)
-        prim_a = prim_b
-        prim_b = _content_and_primitive(r, v)[1] if not r.is_zero() else r
-    return content_gcd * _content_and_primitive(prim_a, v)[1]
-
-
-def _univariate_gcd(a: Polynomial, b: Polynomial, v: int) -> Polynomial:
-    p = a.p
-    ca = _dense_coeffs(a, v)
-    cb = _dense_coeffs(b, v)
-    ca, cb = fields._trim(ca), fields._trim(cb)
-    while cb:
-        ca, cb = cb, fields._pmod(ca, cb, p)
-    exps = [0] * a.nvars
-    out = Polynomial.zero(a.nvars, p)
-    for e, c in enumerate(ca):
-        if c:
-            exps[v] = e
-            out = out + Polynomial.monomial(tuple(exps), c, a.nvars, p)
-    return out
-
-
-def _dense_coeffs(a: Polynomial, v: int) -> list[int]:
-    out = [0] * (a.degree_in(v) + 1)
-    for exps, c in a.terms.items():
-        out[exps[v]] = c
-    return out
-
-
-def _coeffs_in(a: Polynomial, v: int) -> list[Polynomial]:
-    buckets: list[dict[Exponents, int]] = [{} for _ in range(a.degree_in(v) + 1)]
-    for exps, c in a.terms.items():
-        stripped = list(exps)
-        d = stripped[v]
-        stripped[v] = 0
-        buckets[d][tuple(stripped)] = c
-    return [Polynomial(a.nvars, a.p, b) for b in buckets]
-
-
-def _content_and_primitive(a: Polynomial, v: int) -> tuple[Polynomial, Polynomial]:
-    coeffs = _coeffs_in(a, v)
-    content = Polynomial.zero(a.nvars, a.p)
-    for c in coeffs:
-        content = poly_gcd(content, c)
-        if content.is_constant() and not content.is_zero():
-            content = Polynomial.one(a.nvars, a.p)
-            break
-    if content.is_zero():
-        return Polynomial.one(a.nvars, a.p), a
-    return content, a.divide_exact(content)
-
-
-def _pseudo_rem(a: Polynomial, b: Polynomial, v: int) -> Polynomial:
-    da, db = a.degree_in(v), b.degree_in(v)
-    if da < db:
-        return a
-    lead_b = _coeffs_in(b, v)[db]
-    while not a.is_zero() and a.degree_in(v) >= db:
-        da = a.degree_in(v)
-        lead_a = _coeffs_in(a, v)[da]
-        shift = [0] * a.nvars
-        shift[v] = da - db
-        a = lead_b * a - lead_a.mul_monomial(tuple(shift)) * b
-    return a
-
-
 # --- rational functions ------------------------------------------------------
 
 
 class RationalFunction:
-    """num/den with common monomial content cancelled and monic den."""
+    """num/den with common monomial content cancelled and monic den.
+
+    Over a monomial den (every seed entry) this is lowest terms.
+    """
 
     __slots__ = ("num", "den")
 
@@ -591,22 +468,19 @@ class RationalFunction:
     def __repr__(self) -> str:
         return f"RationalFunction({self.render()!r})"
 
-    # -- reduction and canonical form
-
-    def reduce(self) -> "RationalFunction":
-        """Cancel the full polynomial gcd of num and den."""
-        if self.num.is_zero() or self.den.is_constant():
-            return self
-        g = poly_gcd(self.num, self.den)
-        if g.is_constant():
-            return self
-        return RationalFunction(self.num.divide_exact(g), self.den.divide_exact(g))
+    # -- canonical form
 
     def canonical_key(self):
-        red = self.reduce()
+        """Hashable key, equal for equal functions, of a fraction over a monomial.
+
+        Any other den raises NotClusterShapedError: equal functions might
+        get different keys.
+        """
+        if not self.den.is_monomial():
+            raise NotClusterShapedError(self.render())
         return (
-            tuple(sorted(red.num.terms.items())),
-            tuple(sorted(red.den.terms.items())),
+            tuple(sorted(self.num.terms.items())),
+            tuple(sorted(self.den.terms.items())),
         )
 
     def render(self) -> str:
@@ -649,15 +523,14 @@ class RationalFunction:
 
     def denominator_vector(self) -> tuple[int, ...]:
         """Exponent vector of the monomial denominator; x_i maps to -e_i."""
-        red = self.reduce()
-        i = red.is_variable()
+        i = self.is_variable()
         if i is not None:
-            vec = [0] * red.nvars
+            vec = [0] * self.nvars
             vec[i] = -1
             return tuple(vec)
-        if not red.den.is_monomial():
-            raise NotClusterShapedError(red.render())
-        return next(iter(red.den.terms))
+        if not self.den.is_monomial():
+            raise NotClusterShapedError(self.render())
+        return next(iter(self.den.terms))
 
 
 def _substitute_in_poly(
@@ -731,15 +604,16 @@ def rf_mutate(seed: SymbolicSeed, k: int) -> SymbolicSeed:
 def _divide_out_entry(
     binomial: RationalFunction, entry: RationalFunction
 ) -> RationalFunction:
-    # structural cancellation first; full gcd reduction only as a fallback
+    # Laurent phenomenon (Fomin-Zelevinsky, "Cluster algebras I", Thm 3.1):
+    # the new entry is a polynomial over a monomial, so every non-monomial
+    # factor of entry k's numerator divides the binomial's numerator. In
+    # finite type a non-monomial numerator has a nonzero constant term, so
+    # no monomial factor, and divides exactly. NotDivisibleError: a bug.
     if entry.num.is_monomial():
         return RationalFunction(binomial.num * entry.den, binomial.den * entry.num)
-    q = binomial.num.exact_div(entry.num)
-    if q is not None:
-        return RationalFunction(q * entry.den, binomial.den)
     return RationalFunction(
-        binomial.num * entry.den, binomial.den * entry.num
-    ).reduce()
+        binomial.num.divide_exact(entry.num) * entry.den, binomial.den
+    )
 
 
 def apply_symbolic_sequence(seed: SymbolicSeed, ks: Sequence[int]) -> SymbolicSeed:

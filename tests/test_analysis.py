@@ -311,6 +311,27 @@ class TestSymbolicEnumeration:
             assert len(set(fingerprints)) == len(variables)
 
 
+    # sha256 of repr(sorted canonical keys), computed while keys were still
+    # taken after a polynomial-gcd reduction: the constructor's form over a
+    # monomial denominator must give every variable the same key
+    @pytest.mark.parametrize(
+        "family,rank,digest",
+        [
+            ("A", 3, "71cc8bf428f918ca9abd56051ca1537750255d39485c18280bc2e00c6d83e519"),
+            ("A", 4, "6e332c9c16f98ae15a1edc454e518722c3a44240b1568f6a95d9169f8378f4d1"),
+            ("B", 3, "49968f93f4b6b4e2c11e9029a3f823251ec18eada762958a4fb20a067285562f"),
+            ("C", 3, "6e06b225c36ed50ec3dad94b75aa421af9119bbfb49a46e19964e69db2ed4eea"),
+            ("B", 4, "dda9c83d6bb21f61420a8e5692ca3c21c380bcb3c8f82afb776ec56af1ae6b35"),
+            ("C", 4, "9d9ffa44a2beaa8bc5c68682cfd028df3d597dbe43a109e9cb67bf58a637a165"),
+            ("D", 4, "8edc0cccf3aa2ce9cedd6e116473da1feceab9ea794183e9fae84d1120c04222"),
+            ("G", 2, "57277fbbe997f657808a3d1fa3e1b6a2dbfa908ce59307ccd0cf2393b073ae61"),
+        ],
+    )
+    def test_cluster_variable_digest_is_pinned(self, family, rank, digest):
+        variables = cluster_variables(dynkin_exchange_matrix(DynkinSpec(family, rank)))
+        keys = sorted(v.canonical_key() for v in variables)
+        assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("D", 4), ("G", 2)])
     def test_symbolic_seeds_are_the_fingerprint_vertices(self, family, rank):
         # each symbolic seed, evaluated at the graph's point and relabelled

@@ -1,5 +1,6 @@
 """Command-line behaviors: exit codes, outputs, file discipline."""
 
+import hashlib
 import json
 
 import pytest
@@ -113,6 +114,37 @@ class TestEncryptDecrypt:
         )
         assert code == 0
         assert "6 (F)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("key", '{"k0": true, "seq": [1.9, 4, 0, 3, 1]}'),
+            (
+                "params",
+                '{"p": 2.0, "r": 5, "f": [1, 0, 1, 0, 0, 1],'
+                ' "diagram": {"family": "A", "rank": 5.7}}',
+            ),
+        ],
+        ids=["key", "params"],
+    )
+    def test_non_integer_file_fields_are_usage_errors(
+        self, ex1_files, tmp_path, capsys, name, text
+    ):
+        files = dict(zip(("params", "key"), map(str, ex1_files)))
+        files[name] = str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text(text)
+        code = main(
+            [
+                "encrypt",
+                "--params", files["params"],
+                "--key", files["key"],
+                "--message", "F",
+                "--out", str(tmp_path / "ct.json"),
+            ]
+        )
+        assert code == 64
+        assert "must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "ct.json").exists()
 
     def test_reference_path_writes_identical_file(self, ex1_files, tmp_path):
         params, key = ex1_files
@@ -338,6 +370,54 @@ class TestGraphProbe:
     def test_probe_unknown_family_is_usage_error(self, capsys):
         assert main(["probe", "--families", "X"]) == 64
         assert "unknown family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "families,max_rank,skipped",
+        [("E", "5", ["E"]), ("D", "3", ["D"]), ("D,A,E", "3", ["D", "E"])],
+        ids=["E-5", "D-3", "DAE-3"],
+    )
+    def test_probe_names_each_skipped_family(
+        self, capsys, families, max_rank, skipped
+    ):
+        assert main(["probe", "--families", families, "--max-rank", max_rank]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"probe: no {family} rank in [2, {max_rank}]; skipped" for family in skipped
+        ]
+
+
+class TestGoldenOutput:
+    # sha256 of stdout, pinned so that a refactor which claims to leave
+    # these reports byte-identical is checked on every run
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                ["probe", "--max-rank", "5"],
+                "0df261359498035ff27918404787fe132b7ced6284f6ffdf20285224bf46d9f0",
+            ),
+            (
+                ["probe", "--max-rank", "5", "--format", "csv"],
+                "a6961577f8276408a548ddcc2a6f077ac997a72d0cb0d8ea3abba4e5829a302b",
+            ),
+            (
+                ["selftest"],
+                "718ca27f6ce5c4d993e2b12e9f1e178b9b5e84fb70ddc35b3fe1af1010509c9f",
+            ),
+            (
+                ["selftest", "--format", "csv"],
+                "1e28e00441bd3f352d797ec2626314aa83d6cf014e0b7fa4e3332519d2f51157",
+            ),
+            (
+                ["graph", "--family", "E", "--rank", "6", "--format", "json"],
+                "372d85fe24f72088ac956a9c8f12124c445879a5855636cb6ad33ccba2977600",
+            ),
+        ],
+    )
+    def test_stdout_is_pinned(self, capsys, argv, digest):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSelftest:

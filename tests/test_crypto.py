@@ -1,5 +1,6 @@
 """The cipher: codecs, keys, both encryption paths, wire format."""
 
+import json
 import random
 
 import pytest
@@ -375,3 +376,70 @@ class TestWireFormat:
     def test_params_file_round_trip(self):
         blob = serialize_params(EX2)
         assert deserialize_params(blob) == EX2
+
+    # an integer on the wire must be a JSON integer: bool, float and str
+    # are rejected, never truncated or coerced
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b'{"k0": true, "seq": [1, 4, 0, 3, 1]}',
+            b'{"k0": 0, "seq": [1.9, 4, 0, 3, 1]}',
+            b'{"k0": 0, "seq": ["1", 4, 0, 3, 1]}',
+            b'{"k0": 0.0, "seq": [1, 4, 0, 3, 1]}',
+        ],
+        ids=["k0-bool", "seq-float", "seq-str", "k0-float"],
+    )
+    def test_key_integers_are_strict(self, blob):
+        with pytest.raises(ParseError):
+            deserialize_key(blob)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("p", 2.0), ("r", True), ("f", [1, 0, 1, 0, 0, 1.0]), ("f", "101001")],
+        ids=["p-float", "r-bool", "f-float", "f-str"],
+    )
+    def test_params_integers_are_strict(self, field, value):
+        payload = json.loads(serialize_params(EX1))
+        payload[field] = value
+        with pytest.raises(ParseError):
+            deserialize_params(json.dumps(payload).encode())
+
+    @pytest.mark.parametrize("rank", [5.7, 5.0, "5", True])
+    def test_diagram_rank_is_strict(self, rank):
+        payload = json.loads(serialize_params(EX1))
+        payload["diagram"]["rank"] = rank
+        with pytest.raises(ParseError):
+            deserialize_params(json.dumps(payload).encode())
+
+    def test_diagram_must_be_an_object(self):
+        payload = json.loads(serialize_params(EX1))
+        payload["diagram"] = ["A", 5]
+        with pytest.raises(ParseError):
+            deserialize_params(json.dumps(payload).encode())
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("p",), 2.0),
+            (("v",), True),
+            (("diagram", "rank"), 5.0),
+            (("matrix", 0, 1), -1.0),
+            (("values", 0, 0), 1.9),
+            (("values", 0, 0), True),
+            (("values", 0, 0), "1"),
+        ],
+        ids=[
+            "p-float", "v-bool", "rank-float", "matrix-float",
+            "digit-float", "digit-bool", "digit-str",
+        ],
+    )
+    def test_ciphertext_integers_are_strict(self, path, value):
+        ct = encrypt(EX1, EX1_KEY, encode_message("F", EX1))
+        payload = json.loads(serialize_ciphertext(EX1, ct))
+        target = payload
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        with pytest.raises(ParseError):
+            deserialize_ciphertext(json.dumps(payload).encode())

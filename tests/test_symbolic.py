@@ -25,7 +25,6 @@ from clustercrypt.symbolic import (
     RationalFunction,
     apply_symbolic_sequence,
     initial_symbolic_seed,
-    poly_gcd,
     rf_mutate,
 )
 
@@ -49,12 +48,11 @@ class TestPolynomialArithmetic:
     def test_exact_division(self):
         num = Polynomial.parse("x0^2+4*x1^2", 2, 5)  # x0^2 - x1^2 mod 5
         den = Polynomial.parse("x0+x1", 2, 5)
-        assert num.exact_div(den) == Polynomial.parse("x0+4*x1", 2, 5)
+        assert num.divide_exact(den) == Polynomial.parse("x0+4*x1", 2, 5)
 
     def test_inexact_division_raises(self):
         num = Polynomial.parse("x0^2+1", 2, 5)
         den = Polynomial.parse("x1", 2, 5)
-        assert num.exact_div(den) is None
         with pytest.raises(NotDivisibleError):
             num.divide_exact(den)
 
@@ -75,20 +73,6 @@ class TestPolynomialArithmetic:
     def test_parse_rejects_unbalanced(self):
         with pytest.raises(ParseError):
             Polynomial.parse("(x0+1", 2, 5)
-
-    def test_gcd(self):
-        a = Polynomial.parse("x0+1", 2, 5) * Polynomial.parse("x1+2", 2, 5)
-        b = Polynomial.parse("x0+1", 2, 5) * Polynomial.parse("x1+3", 2, 5)
-        assert poly_gcd(a, b) == Polynomial.parse("x0+1", 2, 5)
-
-    def test_gcd_multivariate_nontrivial(self):
-        common = Polynomial.parse("x0*x1+x2+1", 3, 101)
-        a = common * Polynomial.parse("x0+5", 3, 101)
-        b = common * Polynomial.parse("x2^2+7*x1", 3, 101)
-        g = poly_gcd(a, b)
-        assert a.exact_div(g) is not None
-        assert b.exact_div(g) is not None
-        assert g.total_degree() == common.total_degree()
 
 
 class TestMutation:
@@ -117,6 +101,14 @@ class TestMutation:
         )
         with pytest.raises(MutationDivisionError):
             rf_mutate(zeroed, 0)
+
+    def test_entry_not_dividing_the_binomial_raises(self):
+        # (x0+2)/x1 is no cluster variable of A2: the binomial x1+1 is not
+        # divisible by its numerator, which the Laurent phenomenon forbids
+        seed = initial_symbolic_seed(dynkin_exchange_matrix(DynkinSpec("A", 2)), BIGP)
+        corrupted = type(seed)((rf("(x0+2)/x1", 2), seed.entries[1]), seed.matrix)
+        with pytest.raises(NotDivisibleError):
+            rf_mutate(corrupted, 0)
 
     def test_chain_produces_known_variables(self):
         seed = initial_symbolic_seed(dynkin_exchange_matrix(DynkinSpec("A", 5)), BIGP)
@@ -154,7 +146,7 @@ class TestMutation:
                 seed = rf_mutate(seed, k)
                 prev = k
                 for entry in seed.entries:
-                    assert entry.reduce().den.is_monomial()
+                    assert entry.den.is_monomial()
 
 
 class TestSubstitution:
@@ -247,18 +239,23 @@ class TestEvaluation:
 
 
 class TestReduceFraction:
-    def test_monomial_content(self):
-        assert rf("(x0*x1+x1)/x1", 2, 5).reduce() == rf("x0+1", 2, 5)
+    # the constructor's form is lowest terms whenever den is a monomial
 
-    def test_gcd_cancellation(self):
-        num = Polynomial.parse("x0+1", 2, 5) * Polynomial.parse("x1+1", 2, 5)
-        frac = RationalFunction(num, Polynomial.parse("x1+1", 2, 5))
-        assert frac.reduce() == rf("x0+1", 2, 5)
+    def test_monomial_content(self):
+        frac = rf("(3*x0*x1+3*x1)/(2*x1)", 2, 5)
+        assert frac.num == Polynomial.parse("4*x0+4", 2, 5)
+        assert frac.den == Polynomial.one(2, 5)
+        assert frac.canonical_key() == rf("4*x0+4", 2, 5).canonical_key()
 
     def test_already_reduced_unchanged(self):
         frac = rf("(x0*x2+1)/x1", 3, 5)
-        red = frac.reduce()
-        assert red.num == frac.num and red.den == frac.den
+        assert frac.num == Polynomial.parse("x0*x2+1", 3, 5)
+        assert frac.den == Polynomial.parse("x1", 3, 5)
+        assert frac.canonical_key() == rf("(2*x0*x2+2)/(2*x1)", 3, 5).canonical_key()
+
+    def test_canonical_key_rejects_non_monomial_denominator(self):
+        with pytest.raises(NotClusterShapedError):
+            rf("x0/(x1+1)", 2).canonical_key()
 
 
 class TestDenominatorVector:
