@@ -9,10 +9,7 @@ alpha^i exactly, which is what catches tampering and wrong keys.
 
 from clustercrypt import (
     CiphertextSeed,
-    DynkinSpec,
-    FieldParams,
     SecretKey,
-    SystemParams,
     decode_message,
     decrypt,
     deserialize_ciphertext,
@@ -24,9 +21,10 @@ from clustercrypt import (
     validate_key,
 )
 from clustercrypt.errors import CorruptOrWrongKeyError
+from clustercrypt.known_answers import EXAMPLE_1
 
-params = SystemParams(FieldParams(2, 5, (1, 0, 1, 0, 0, 1)), DynkinSpec("A", 5))
-key = SecretKey(k0=0, seq=(1, 4, 0, 3, 1))
+# worked example 1: GF(2^5) with modulus 1 + x^2 + x^5, diagram A5
+params, key = EXAMPLE_1.params, EXAMPLE_1.key
 print("key: hide position", key.k0, "sequence", list(key.seq))
 print("key valid:", validate_key(key, params.initial_matrix()) == ())
 

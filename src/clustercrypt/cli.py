@@ -13,6 +13,7 @@ import json
 import os
 import secrets
 import sys
+from functools import partial
 from random import Random
 
 from . import fields
@@ -32,7 +33,6 @@ from .cluster import (
     matrix_mutate,
 )
 from .crypto import (
-    SecretKey,
     SystemParams,
     decode_message,
     decrypt,
@@ -56,6 +56,7 @@ from .errors import (
     ZeroMessageError,
 )
 from .fields import FieldParams, element_to_int, int_to_element
+from .known_answers import WORKED_EXAMPLES, WorkedExample
 from .roots import check_root_axioms, generate_root_system
 from .cluster import standard_cartan
 
@@ -81,14 +82,6 @@ def _write_file(path: str, data: bytes) -> None:
 def _read_file(path: str) -> bytes:
     with open(path, "rb") as handle:
         return handle.read()
-
-
-def _load_params(path: str) -> SystemParams:
-    return deserialize_params(_read_file(path))
-
-
-def _load_key(path: str) -> SecretKey:
-    return deserialize_key(_read_file(path))
 
 
 def _parse_orientation(text: str):
@@ -118,7 +111,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_keygen(args) -> int:
-    params = _load_params(args.params)
+    params = deserialize_params(_read_file(args.params))
     rng_seed = args.rng_seed
     if rng_seed is None:
         rng_seed = secrets.randbits(32)
@@ -138,8 +131,8 @@ def _parse_message(text: str) -> list:
 
 
 def cmd_encrypt(args) -> int:
-    params = _load_params(args.params)
-    key = _load_key(args.key)
+    params = deserialize_params(_read_file(args.params))
+    key = deserialize_key(_read_file(args.key))
     symbols = _parse_message(args.message)
     records = []
     for symbol in symbols:
@@ -154,8 +147,8 @@ def cmd_encrypt(args) -> int:
 
 
 def cmd_decrypt(args) -> int:
-    params = _load_params(args.params)
-    key = _load_key(args.key)
+    params = deserialize_params(_read_file(args.params))
+    key = deserialize_key(_read_file(args.key))
     blob = _read_file(args.ciphertext)
     lines = [line for line in blob.splitlines() if line.strip()]
     outputs = []
@@ -185,7 +178,7 @@ def cmd_decrypt(args) -> int:
 
 def cmd_graph(args) -> int:
     if args.params:
-        params = _load_params(args.params)
+        params = deserialize_params(_read_file(args.params))
         spec = params.diagram
     else:
         spec = DynkinSpec(args.family, args.rank, _parse_orientation(args.orientation))
@@ -227,14 +220,14 @@ def cmd_probe(args) -> int:
     rows = []
     for family in args.families.split(","):
         family = family.strip().upper()
+        if family not in FAMILIES:
+            raise InvalidSpecError(f"unknown family {family!r}")
         before = len(rows)
         for rank in range(args.min_rank, args.max_rank + 1):
             try:
                 spec = DynkinSpec(family, rank)
             except InvalidSpecError:
-                if family in FAMILIES:
-                    continue  # a rank this family does not have
-                raise
+                continue  # a rank this family does not have
             graph = None
             if not args.no_enumerate:
                 graph = enumerate_exchange_graph(
@@ -250,50 +243,18 @@ def cmd_probe(args) -> int:
 
 # --- selftest -------------------------------------------------------------------
 
-EX1_PARAMS = SystemParams(FieldParams(2, 5, (1, 0, 1, 0, 0, 1)), DynkinSpec("A", 5))
-EX1_KEY = SecretKey(0, (1, 4, 0, 3, 1))
-EX2_PARAMS = SystemParams(
-    FieldParams(101, 7, (46, 0, 1, 1, 0, 74, 0, 1)), DynkinSpec("D", 7)
-)
-EX2_KEY = SecretKey(3, (2, 3, 4, 3))
+def _check_encrypt(example: WorkedExample) -> bool:
+    params = example.params
+    ct = encrypt(params, example.key, encode_message(example.message, params))
+    ints = tuple(element_to_int(v, params.field) for v in ct.values)
+    return ints == example.values and ct.matrix.rows == example.matrix
 
 
-def _check_example1_encrypt() -> bool:
-    ct = encrypt(EX1_PARAMS, EX1_KEY, encode_message("F", EX1_PARAMS))
-    ints = [element_to_int(v, EX1_PARAMS.field) for v in ct.values]
-    expected_matrix = [
-        [0, -1, 1, 0, 0],
-        [1, 0, -1, 0, 0],
-        [-1, 1, 0, -1, 1],
-        [0, 0, 1, 0, -1],
-        [0, 0, -1, 1, 0],
-    ]
-    return ints == [11, 18, 4, 7, 25] and ct.matrix.to_lists() == expected_matrix
-
-
-def _check_example1_decrypt() -> bool:
-    ct = encrypt(EX1_PARAMS, EX1_KEY, encode_message("F", EX1_PARAMS))
-    decoded = decode_message(decrypt(EX1_PARAMS, EX1_KEY, ct), EX1_PARAMS)
-    return (decoded.number, decoded.letter) == (6, "F")
-
-
-def _check_example2_encrypt() -> bool:
-    ct = encrypt(EX2_PARAMS, EX2_KEY, encode_message(38927, EX2_PARAMS))
-    ints = [element_to_int(v, EX2_PARAMS.field) for v in ct.values]
-    return ints == [
-        1,
-        101,
-        46596680922228,
-        12799379480831,
-        58938867466645,
-        10510100501,
-        1061520150601,
-    ]
-
-
-def _check_example2_decrypt() -> bool:
-    ct = encrypt(EX2_PARAMS, EX2_KEY, encode_message(38927, EX2_PARAMS))
-    return decode_message(decrypt(EX2_PARAMS, EX2_KEY, ct), EX2_PARAMS).number == 38927
+def _check_decrypt(example: WorkedExample) -> bool:
+    params = example.params
+    ct = encrypt(params, example.key, encode_message(example.message, params))
+    decoded = decode_message(decrypt(params, example.key, ct), params)
+    return (decoded.number, decoded.letter) == (example.number, example.letter)
 
 
 def _random_finite_matrix(rng: Random):
@@ -417,11 +378,9 @@ def _check_root_axioms() -> bool:
 
 
 def _check_wire_round_trip() -> bool:
-    for params, key, message in (
-        (EX1_PARAMS, EX1_KEY, encode_message("F", EX1_PARAMS)),
-        (EX2_PARAMS, EX2_KEY, encode_message(38927, EX2_PARAMS)),
-    ):
-        ct = encrypt(params, key, message)
+    for example in WORKED_EXAMPLES:
+        params = example.params
+        ct = encrypt(params, example.key, encode_message(example.message, params))
         blob = serialize_ciphertext(params, ct)
         restored_params, restored = deserialize_ciphertext(blob)
         if serialize_ciphertext(restored_params, restored) != blob:
@@ -429,11 +388,11 @@ def _check_wire_round_trip() -> bool:
     return True
 
 
-SELFTEST_CHECKS = (
-    ("example1-encrypt", _check_example1_encrypt),
-    ("example1-decrypt", _check_example1_decrypt),
-    ("example2-encrypt", _check_example2_encrypt),
-    ("example2-decrypt", _check_example2_decrypt),
+SELFTEST_CHECKS = tuple(
+    (f"{example.name}-{kind}", partial(check, example))
+    for example in WORKED_EXAMPLES
+    for kind, check in (("encrypt", _check_encrypt), ("decrypt", _check_decrypt))
+) + (
     ("matrix-involution", _check_matrix_involution),
     ("numeric-involution", _check_numeric_involution),
     ("round-trip", _check_round_trip),
@@ -552,10 +511,7 @@ def main(argv=None) -> int:
         return _fail_usage("graph needs --params or both --family and --rank")
     try:
         return args.func(args)
-    except ZeroMessageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_ENCRYPT
-    except EncryptionFailedError as exc:
+    except (ZeroMessageError, EncryptionFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_ENCRYPT
     except (CorruptOrWrongKeyError, DecryptionFailedError) as exc:

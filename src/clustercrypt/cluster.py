@@ -26,7 +26,7 @@ from .errors import (
     MutationDivisionError,
     RankMismatchError,
 )
-from .fields import Element, FieldParams
+from .fields import Element, FieldParams, require_int
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -38,7 +38,10 @@ class ExchangeMatrix:
     rows: Rows
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
+        for row in rows:
+            for x in row:
+                require_int(x, "matrix entry")
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         for row in rows:
@@ -299,16 +302,15 @@ class DynkinSpec:
     orientation: str | tuple[tuple[int, int], ...] = "default"
 
     def __post_init__(self):
-        _check_family_rank(self.family, self.rank)
+        _check_family_rank(self.family, require_int(self.rank, "rank"))
         if isinstance(self.orientation, str):
             if self.orientation != "default":
                 raise InvalidSpecError(f"unknown orientation {self.orientation!r}")
         else:
-            object.__setattr__(
-                self,
-                "orientation",
-                tuple((int(i), int(j)) for i, j in self.orientation),
-            )
+            edges = tuple((i, j) for i, j in self.orientation)
+            for v in itertools.chain(*edges):
+                require_int(v, "orientation")
+            object.__setattr__(self, "orientation", edges)
 
     def to_dict(self) -> dict:
         d = {"family": self.family, "rank": self.rank}
@@ -524,9 +526,7 @@ class NumericSeed:
 
 def numeric_mutate(seed: NumericSeed, k: int, step: Optional[int] = None) -> NumericSeed:
     """Replace value k by (pos product + neg product) / value k."""
-    n = seed.matrix.n
-    if not 0 <= k < n:
-        raise InvalidVertexError(f"vertex {k} outside [0, {n})")
+    matrix = matrix_mutate(seed.matrix, k)
     params = seed.params
     if not any(seed.values[k]):
         raise MutationDivisionError(k, step)
@@ -541,7 +541,7 @@ def numeric_mutate(seed: NumericSeed, k: int, step: Optional[int] = None) -> Num
     new_value = fields.ext_mul(total, fields.ext_inv(seed.values[k], params), params)
     values = list(seed.values)
     values[k] = new_value
-    return NumericSeed(tuple(values), matrix_mutate(seed.matrix, k), params)
+    return NumericSeed(tuple(values), matrix, params)
 
 
 def apply_sequence(seed: NumericSeed, ks: Sequence[int]) -> NumericSeed:

@@ -11,6 +11,12 @@ The fast path mutates numerically in GF(p^r). The reference path mirrors
 the textbook presentation -- mutate symbolically, substitute the message
 into x_k0, evaluate at x_i = alpha^i -- and is kept behind a flag as the
 cipher's oracle. Both must produce identical ciphertexts.
+
+Key, params and ciphertext files are canonical JSON, read by one loader
+that only parses. Integers are checked by the constructors every value
+passes through (`fields.require_int`: no bool, float or str), so a value
+built in code and one read from a file meet the same rule; the loader
+turns any failure while building into a ParseError.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .cluster import (
     numeric_mutate,
 )
 from .errors import (
+    ClusterCryptError,
     CorruptOrWrongKeyError,
     DecryptionFailedError,
     DenominatorVanishesError,
@@ -43,7 +50,7 @@ from .errors import (
     UnknownSymbolError,
     ZeroMessageError,
 )
-from .fields import Element, FieldParams, wire_int
+from .fields import Element, FieldParams, require_int
 from .symbolic import (
     Polynomial,
     RationalFunction,
@@ -90,18 +97,16 @@ class SecretKey:
     seq: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "seq", tuple(int(k) for k in self.seq))
-
-    def reversed_seq(self) -> tuple[int, ...]:
-        return tuple(reversed(self.seq))
+        require_int(self.k0, "k0")
+        seq = tuple(require_int(k, "seq entry") for k in self.seq)
+        object.__setattr__(self, "seq", seq)
 
     def to_dict(self) -> dict:
         return {"k0": self.k0, "seq": list(self.seq)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SecretKey":
-        seq = tuple(wire_int(k, "seq entry") for k in d["seq"])
-        return cls(wire_int(d["k0"], "k0"), seq)
+        return cls(d["k0"], d["seq"])
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,8 @@ class CiphertextSeed:
             raise InvalidSpecError(
                 f"{len(self.values)} values for a rank-{self.matrix.n} matrix"
             )
-        object.__setattr__(self, "values", tuple(tuple(v) for v in self.values))
+        values = tuple(tuple(require_int(d, "digit") for d in v) for v in self.values)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -148,15 +154,11 @@ class SystemParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemParams":
-        """Params from their file form; every integer must be a JSON integer."""
         diagram = d["diagram"]
         if not isinstance(diagram, dict):
             raise ParseError("diagram is not an object")
         orientation = diagram.get("orientation", "default")
-        if orientation != "default":
-            orientation = [[wire_int(v, "orientation") for v in e] for e in orientation]
-        rank = wire_int(diagram["rank"], "diagram rank")
-        spec = DynkinSpec(str(diagram["family"]), rank, orientation)
+        spec = DynkinSpec(diagram["family"], diagram["rank"], orientation)
         return cls(FieldParams.from_dict(d), spec)
 
 
@@ -170,7 +172,7 @@ def encode_message(value: Union[int, str], params: SystemParams) -> Element:
             raise UnknownSymbolError("no alphabet configured for letter messages")
         number = params.alphabet.number_of(value)
     else:
-        number = int(value)
+        number = require_int(value, "message")
     if number == 0:
         raise ZeroMessageError("0 cannot be a message")
     if not 0 < number < params.field.q:
@@ -370,7 +372,7 @@ def decrypt(params: SystemParams, key: SecretKey, ct: CiphertextSeed) -> Element
             f"ciphertext rank {len(ct.values)} != field degree {params.field.r}"
         )
     seed = NumericSeed(ct.values, ct.matrix, params.field)
-    for step, k in enumerate(key.reversed_seq(), start=1):
+    for step, k in enumerate(reversed(key.seq), start=1):
         try:
             seed = numeric_mutate(seed, k, step=step)
         except MutationDivisionError as exc:
@@ -397,20 +399,16 @@ def _canonical_bytes(obj) -> bytes:
 
 
 def serialize_ciphertext(params: SystemParams, ct: CiphertextSeed) -> bytes:
-    """Versioned canonical JSON; digit arrays, never floats."""
-    payload = {
-        "v": WIRE_VERSION,
-        "p": params.field.p,
-        "r": params.field.r,
-        "f": list(params.field.f),
-        "diagram": params.diagram.to_dict(),
-        "matrix": ct.matrix.to_lists(),
-        "values": [list(v) for v in ct.values],
-    }
+    """Versioned canonical JSON: the params header, the matrix and digit arrays."""
+    payload = params.to_dict()
+    payload["v"] = WIRE_VERSION
+    payload["matrix"] = ct.matrix.to_lists()
+    payload["values"] = [list(v) for v in ct.values]
     return _canonical_bytes(payload)
 
 
-def deserialize_ciphertext(data: bytes) -> tuple[SystemParams, CiphertextSeed]:
+def _read_object(data: bytes, build):
+    """build(payload) for one JSON object; every failure is a ParseError."""
     try:
         payload = json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -419,28 +417,24 @@ def deserialize_ciphertext(data: bytes) -> tuple[SystemParams, CiphertextSeed]:
         raise ParseError(f"bad JSON: {exc.msg}", position=exc.pos) from exc
     if not isinstance(payload, dict):
         raise ParseError("payload is not an object")
+    try:
+        return build(payload)
+    except ParseError:
+        raise
+    except (KeyError, TypeError, ValueError, ClusterCryptError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _ciphertext_from_dict(payload: dict) -> tuple[SystemParams, CiphertextSeed]:
     version = payload.get("v")
     if type(version) is not int or version != WIRE_VERSION:
         raise ParseError(f"unsupported version {version!r}")
     missing = {"p", "r", "f", "diagram", "matrix", "values"} - payload.keys()
     if missing:
         raise ParseError(f"missing fields {sorted(missing)}")
-    try:
-        params = SystemParams.from_dict(payload)
-        matrix = ExchangeMatrix(
-            tuple(
-                tuple(wire_int(b, "matrix entry") for b in row)
-                for row in payload["matrix"]
-            )
-        )
-        values = tuple(
-            tuple(wire_int(d, "digit") for d in v) for v in payload["values"]
-        )
-        ct = CiphertextSeed(values, matrix)
-    except ParseError:
-        raise
-    except Exception as exc:
-        raise ParseError(str(exc)) from exc
+    params = SystemParams.from_dict(payload)
+    matrix = ExchangeMatrix.from_lists(payload["matrix"])
+    ct = CiphertextSeed(payload["values"], matrix)
     if any(len(v) != params.field.r for v in ct.values):
         raise ParseError("value digit arrays do not match the field degree")
     if any(not 0 <= d < params.field.p for v in ct.values for d in v):
@@ -448,18 +442,16 @@ def deserialize_ciphertext(data: bytes) -> tuple[SystemParams, CiphertextSeed]:
     return params, ct
 
 
+def deserialize_ciphertext(data: bytes) -> tuple[SystemParams, CiphertextSeed]:
+    return _read_object(data, _ciphertext_from_dict)
+
+
 def serialize_key(key: SecretKey) -> bytes:
     return _canonical_bytes(key.to_dict())
 
 
 def deserialize_key(data: bytes) -> SecretKey:
-    try:
-        payload = json.loads(data.decode("utf-8"))
-        return SecretKey.from_dict(payload)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", position=exc.pos) from exc
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(str(exc)) from exc
+    return _read_object(data, SecretKey.from_dict)
 
 
 def serialize_params(params: SystemParams) -> bytes:
@@ -467,12 +459,4 @@ def serialize_params(params: SystemParams) -> bytes:
 
 
 def deserialize_params(data: bytes) -> SystemParams:
-    try:
-        payload = json.loads(data.decode("utf-8"))
-        return SystemParams.from_dict(payload)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc.msg}", position=exc.pos) from exc
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(str(exc)) from exc
+    return _read_object(data, SystemParams.from_dict)

@@ -6,6 +6,11 @@ modulus f. Every coordinate is kept reduced mod p at all times. The
 canonical integer of an element is sum(a_i * p^i); Python integers are
 arbitrary precision, so p^r far beyond machine words is fine.
 
+Integers are checked where values are built, not where files are read:
+`require_int` admits only int (no bool, float or str) and raises
+TypeError, and FieldParams (p, r, each coefficient of f) and
+int_to_element call it, so nothing is truncated on any path.
+
 Tested ranges are p <= 101 and r <= 8; nothing here assumes those bounds,
 but the irreducibility trial division documents an O(p^(r/2)) cost.
 """
@@ -19,7 +24,6 @@ from .errors import (
     InvalidPolynomialError,
     NonInvertibleError,
     OutOfRangeError,
-    ParseError,
 )
 
 Element = tuple[int, ...]
@@ -29,10 +33,10 @@ Element = tuple[int, ...]
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def wire_int(value, what: str) -> int:
-    """A JSON integer read from a file; bool, float and str are rejected."""
+def require_int(value, what: str) -> int:
+    """value itself if it is an int; bool, float and str raise TypeError."""
     if type(value) is not int:
-        raise ParseError(f"{what} must be an integer, got {value!r}")
+        raise TypeError(f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -155,10 +159,12 @@ def _monic_polys(degree: int, p: int) -> Iterable[list[int]]:
             return
 
 
-# Candidate-divisor count below which plain trial division is used; above
-# it the Rabin power test takes over (needed for p=101, r=7, where the
-# divisor space is ~10^6).
-_TRIAL_DIVISION_LIMIT = 60_000
+# Candidate-divisor count up to which plain trial division is used; above
+# it the Rabin power test takes over. Measured on irreducible moduli
+# (min of 5 runs, CPython 3.11, shared 2-vCPU host): trial division wins
+# up to about 31 candidates (GF(2^5) 38 vs 73 us, GF(31^2) 70 vs 145 us)
+# and loses from 56 on (GF(7^4) 408 vs 164 us, GF(101^4) 40 ms vs 0.48 ms).
+_TRIAL_DIVISION_LIMIT = 32
 
 
 def is_irreducible(f: Sequence[int], p: int) -> bool:
@@ -191,16 +197,7 @@ def is_irreducible(f: Sequence[int], p: int) -> bool:
     x = [0, 1]
     if _psub(_ppowmod(x, p**deg, f, p), x, p):
         return False  # x^(p^r) != x mod f
-    rr = deg
-    prime_factors = set()
-    q = 2
-    while q * q <= rr:
-        while rr % q == 0:
-            prime_factors.add(q)
-            rr //= q
-        q += 1
-    if rr > 1:
-        prime_factors.add(rr)
+    prime_factors = [q for q in range(2, deg + 1) if deg % q == 0 and is_prime(q)]
     for q in prime_factors:
         diff = _psub(_ppowmod(x, p ** (deg // q), f, p), x, p)
         if len(_pgcd(f, diff, p)) != 1:
@@ -221,11 +218,12 @@ class FieldParams:
     f: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(self.p):
+        if not is_prime(require_int(self.p, "p")):
             raise InvalidPolynomialError(f"p={self.p} is not prime")
-        if self.r < 1:
+        if require_int(self.r, "r") < 1:
             raise InvalidPolynomialError(f"r={self.r} must be >= 1")
-        object.__setattr__(self, "f", tuple(c % self.p for c in self.f))
+        f = tuple(require_int(c, "modulus coefficient") % self.p for c in self.f)
+        object.__setattr__(self, "f", f)
         if len(self.f) != self.r + 1:
             raise InvalidPolynomialError(
                 f"modulus needs {self.r + 1} coefficients, got {len(self.f)}"
@@ -258,8 +256,7 @@ class FieldParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FieldParams":
-        f = tuple(wire_int(c, "modulus coefficient") for c in d["f"])
-        return cls(wire_int(d["p"], "p"), wire_int(d["r"], "r"), f)
+        return cls(d["p"], d["r"], d["f"])
 
 
 def ext_add(a: Element, b: Element, params: FieldParams) -> Element:
@@ -322,7 +319,7 @@ def element_to_int(a: Element, params: FieldParams) -> int:
 
 
 def int_to_element(n: int, params: FieldParams) -> Element:
-    if not 0 <= n < params.q:
+    if not 0 <= require_int(n, "element integer") < params.q:
         raise OutOfRangeError(f"{n} outside [0, {params.p}^{params.r})")
     coords = []
     for _ in range(params.r):

@@ -16,13 +16,14 @@ from typing import Sequence
 
 from .cluster import breadth_first
 from .errors import InvalidMatrixError, NotFiniteTypeError
+from .fields import require_int
 
 Cartan = tuple[tuple[int, ...], ...]
 Root = tuple[int, ...]
 
 
 def _validate_cartan(cartan: Cartan) -> Cartan:
-    cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+    cartan = tuple(tuple(require_int(x, "Cartan entry") for x in row) for row in cartan)
     n = len(cartan)
     for i, row in enumerate(cartan):
         if len(row) != n:

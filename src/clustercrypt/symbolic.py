@@ -581,9 +581,8 @@ def initial_symbolic_seed(matrix: ExchangeMatrix, p: int) -> SymbolicSeed:
 
 def rf_mutate(seed: SymbolicSeed, k: int) -> SymbolicSeed:
     """Symbolic mutation at k: binomial of row-k monomials over entry k."""
-    n = seed.matrix.n
-    if not 0 <= k < n:
-        raise InvalidVertexError(f"vertex {k} outside [0, {n})")
+    matrix = matrix_mutate(seed.matrix, k)
+    n = matrix.n
     entry_k = seed.entries[k]
     if entry_k.is_zero():
         raise MutationDivisionError(k)
@@ -598,7 +597,7 @@ def rf_mutate(seed: SymbolicSeed, k: int) -> SymbolicSeed:
     binomial = pos + neg
     entries = list(seed.entries)
     entries[k] = _divide_out_entry(binomial, entry_k)
-    return SymbolicSeed(tuple(entries), matrix_mutate(seed.matrix, k))
+    return SymbolicSeed(tuple(entries), matrix)
 
 
 def _divide_out_entry(

@@ -30,7 +30,6 @@ from clustercrypt.cluster import (
     standard_cartan,
 )
 from clustercrypt.crypto import (
-    SecretKey,
     SystemParams,
     decode_message,
     decrypt,
@@ -47,29 +46,13 @@ from clustercrypt.fields import (
     int_to_element,
     is_irreducible,
 )
+from clustercrypt.known_answers import EXAMPLE_1, EXAMPLE_2
 from clustercrypt.roots import check_root_axioms, generate_root_system
 
-EX1 = SystemParams(FieldParams(2, 5, (1, 0, 1, 0, 0, 1)), DynkinSpec("A", 5))
-EX1_KEY = SecretKey(0, (1, 4, 0, 3, 1))
-EX2 = SystemParams(FieldParams(101, 7, (46, 0, 1, 1, 0, 74, 0, 1)), DynkinSpec("D", 7))
-EX2_KEY = SecretKey(3, (2, 3, 4, 3))
-
-EQ8_MATRIX = [
-    [0, -1, 1, 0, 0],
-    [1, 0, -1, 0, 0],
-    [-1, 1, 0, -1, 1],
-    [0, 0, 1, 0, -1],
-    [0, 0, -1, 1, 0],
-]
-EQ9_MATRIX = [
-    [0, 1, 0, 0, 0, 0, 0],
-    [-1, 0, 1, 0, 0, 0, 0],
-    [0, -1, 0, 0, 1, 0, 0],
-    [0, 0, 0, 0, 1, -1, -1],
-    [0, 0, -1, -1, 0, 0, 0],
-    [0, 0, 0, 1, 0, 0, 0],
-    [0, 0, 0, 1, 0, 0, 0],
-]
+EX1, EX1_KEY = EXAMPLE_1.params, EXAMPLE_1.key
+EX2, EX2_KEY = EXAMPLE_2.params, EXAMPLE_2.key
+EQ8_MATRIX = [list(row) for row in EXAMPLE_1.matrix]
+EQ9_MATRIX = [list(row) for row in EXAMPLE_2.matrix]
 
 
 def _report(criterion: str, detail: str) -> None:

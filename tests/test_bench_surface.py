@@ -14,8 +14,10 @@ import pytest
 
 import clustercrypt
 from clustercrypt import crypto, fields, symbolic
-from clustercrypt.cli import EX1_KEY, EX1_PARAMS
 from clustercrypt.cluster import dynkin_exchange_matrix
+from clustercrypt.known_answers import EXAMPLE_1
+
+EX1_PARAMS, EX1_KEY = EXAMPLE_1.params, EXAMPLE_1.key
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 

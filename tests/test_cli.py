@@ -372,6 +372,17 @@ class TestGraphProbe:
         assert "unknown family" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "ranks", [["--min-rank", "5", "--max-rank", "4"], ["--max-rank", "1"]]
+    )
+    def test_probe_unknown_family_is_usage_error_at_any_rank_range(
+        self, capsys, ranks
+    ):
+        assert main(["probe", "--families", "X,A", *ranks]) == 64
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown family 'X'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
         "families,max_rank,skipped",
         [("E", "5", ["E"]), ("D", "3", ["D"]), ("D,A,E", "3", ["D", "E"])],
         ids=["E-5", "D-3", "DAE-3"],

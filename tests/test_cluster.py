@@ -85,6 +85,15 @@ class TestExchangeMatrix:
         with pytest.raises(InvalidMatrixError):
             ExchangeMatrix(((1, 1), (-1, 0)))
 
+    @pytest.mark.parametrize(
+        "rows",
+        [((0, 1.5), (-1, 0)), ((0, 1), (-1.0, 0)), ((0, True), (-1, 0))],
+        ids=["float", "integral-float", "bool"],
+    )
+    def test_entries_are_strict_integers(self, rows):
+        with pytest.raises(TypeError, match="must be an integer"):
+            ExchangeMatrix(rows)
+
 
 class TestDynkinConstructors:
     def test_a5_default_matches_worked_example(self):
@@ -112,6 +121,23 @@ class TestDynkinConstructors:
             (-1, 0, 1),
             (0, -1, 0),
         )
+
+    @pytest.mark.parametrize(
+        "rank,orientation",
+        [
+            (5.7, "default"),
+            (5.0, "default"),
+            (True, "default"),
+            (3, ((0, 1.0), (2, 1))),
+            (3, ((0, 1), (True, 1))),
+        ],
+        ids=[
+            "rank-float", "rank-integral-float", "rank-bool", "edge-float", "edge-bool"
+        ],
+    )
+    def test_integers_are_strict(self, rank, orientation):
+        with pytest.raises(TypeError, match="must be an integer"):
+            DynkinSpec("A", rank, orientation)
 
     def test_orientation_must_cover_all_edges(self):
         with pytest.raises(InvalidSpecError):

@@ -40,29 +40,12 @@ from clustercrypt.fields import (
     element_to_int,
     int_to_element,
 )
+from clustercrypt.known_answers import EXAMPLE_1, EXAMPLE_2
 
-EX1 = SystemParams(FieldParams(2, 5, (1, 0, 1, 0, 0, 1)), DynkinSpec("A", 5))
-EX1_KEY = SecretKey(0, (1, 4, 0, 3, 1))
-EX2 = SystemParams(FieldParams(101, 7, (46, 0, 1, 1, 0, 74, 0, 1)), DynkinSpec("D", 7))
-EX2_KEY = SecretKey(3, (2, 3, 4, 3))
-
-EQ8_MATRIX = [
-    [0, -1, 1, 0, 0],
-    [1, 0, -1, 0, 0],
-    [-1, 1, 0, -1, 1],
-    [0, 0, 1, 0, -1],
-    [0, 0, -1, 1, 0],
-]
-
-EQ9_MATRIX = [
-    [0, 1, 0, 0, 0, 0, 0],
-    [-1, 0, 1, 0, 0, 0, 0],
-    [0, -1, 0, 0, 1, 0, 0],
-    [0, 0, 0, 0, 1, -1, -1],
-    [0, 0, -1, -1, 0, 0, 0],
-    [0, 0, 0, 1, 0, 0, 0],
-    [0, 0, 0, 1, 0, 0, 0],
-]
+EX1, EX1_KEY = EXAMPLE_1.params, EXAMPLE_1.key
+EX2, EX2_KEY = EXAMPLE_2.params, EXAMPLE_2.key
+EQ8_MATRIX = [list(row) for row in EXAMPLE_1.matrix]
+EQ9_MATRIX = [list(row) for row in EXAMPLE_2.matrix]
 
 
 class TestAlphabet:
@@ -117,6 +100,13 @@ class TestMessageCodec:
         with pytest.raises(OutOfRangeError):
             encode_message(32, EX1)
 
+    @pytest.mark.parametrize(
+        "value", [6.7, 6.0, True], ids=["float", "integral-float", "bool"]
+    )
+    def test_integer_message_is_strict(self, value):
+        with pytest.raises(TypeError, match="must be an integer"):
+            encode_message(value, EX1)
+
     def test_decode_letter(self):
         decoded = decode_message((0, 1, 1, 0, 0), EX1)
         assert (decoded.number, decoded.letter) == (6, "F")
@@ -131,6 +121,28 @@ class TestMessageCodec:
     def test_decode_zero_rejected(self):
         with pytest.raises(ZeroMessageError):
             decode_message(EX1.field.zero(), EX1)
+
+
+class TestConstructorIntegers:
+    # the rule the file readers rely on: bool, float and str are rejected
+    # where the value is built, never truncated or coerced
+
+    @pytest.mark.parametrize(
+        "k0,seq",
+        [(True, (1, 2)), (0.0, (1, 2)), (0, (1.9, 2)), (0, (1, True)), (0, ("1", 2))],
+        ids=["k0-bool", "k0-float", "seq-float", "seq-bool", "seq-str"],
+    )
+    def test_secret_key(self, k0, seq):
+        with pytest.raises(TypeError, match="must be an integer"):
+            SecretKey(k0, seq)
+
+    @pytest.mark.parametrize("digit", [1.0, True, "1"], ids=["float", "bool", "str"])
+    def test_ciphertext_digits(self, digit):
+        ct = encrypt(EX1, EX1_KEY, encode_message("F", EX1))
+        values = [list(v) for v in ct.values]
+        values[0][0] = digit
+        with pytest.raises(TypeError, match="must be an integer"):
+            CiphertextSeed(values, EX1.initial_matrix())
 
 
 class TestKeyValidation:
@@ -410,6 +422,23 @@ class TestWireFormat:
         payload = json.loads(serialize_params(EX1))
         payload["diagram"]["rank"] = rank
         with pytest.raises(ParseError):
+            deserialize_params(json.dumps(payload).encode())
+
+    @pytest.mark.parametrize("reader", [deserialize_key, deserialize_params])
+    def test_non_utf8_is_a_parse_error_with_position(self, reader):
+        with pytest.raises(ParseError) as caught:
+            reader(b'{"k0": \xff}')
+        assert caught.value.position == 7
+
+    @pytest.mark.parametrize("reader", [deserialize_key, deserialize_params])
+    def test_payload_must_be_an_object(self, reader):
+        with pytest.raises(ParseError, match="^payload is not an object$"):
+            reader(b"[1]")
+
+    def test_reducible_modulus_is_a_parse_error(self):
+        payload = json.loads(serialize_params(EX1))
+        payload["f"] = [1, 1, 0, 0, 0, 1]  # x^5 + x + 1 = (x^2+x+1)(x^3+x^2+1)
+        with pytest.raises(ParseError, match="reducible"):
             deserialize_params(json.dumps(payload).encode())
 
     def test_diagram_must_be_an_object(self):

@@ -86,6 +86,17 @@ class TestIrreducibility:
         assert not is_irreducible(g, 101)
 
 
+    def test_mid_size_space_takes_the_power_test(self, monkeypatch):
+        # GF(101^4) has 10,302 candidate divisors, far past the measured
+        # crossover: trial division must not run
+        def no_trial_division(degree, p):
+            raise AssertionError("trial division ran")
+
+        monkeypatch.setattr(fields, "_monic_polys", no_trial_division)
+        assert is_irreducible([1, 1, 0, 0, 1], 101)
+        assert not is_irreducible(fields._pmul([1, 0, 1], [1, 0, 1], 101), 101)
+
+
 def _trial_division_verdict(f, p):
     f = list(f)
     deg = len(f) - 1
@@ -111,6 +122,24 @@ class TestFieldParams:
 
     def test_dict_round_trip(self):
         assert FieldParams.from_dict(GF32.to_dict()) == GF32
+
+    # integers are checked where a value is built: bool, float and str are
+    # rejected, never truncated or coerced
+
+    @pytest.mark.parametrize(
+        "p,r,f",
+        [
+            (2.0, 5, (1, 0, 1, 0, 0, 1)),
+            (2, 5.0, (1, 0, 1, 0, 0, 1)),
+            (2, True, (1, 1)),
+            (2, 5, (1, 0, 1.0, 0, 0, 1)),
+            (2, 5, (True, 0, 1, 0, 0, 1)),
+        ],
+        ids=["p-float", "r-float", "r-bool", "f-float", "f-bool"],
+    )
+    def test_integers_are_strict(self, p, r, f):
+        with pytest.raises(TypeError, match="must be an integer"):
+            FieldParams(p, r, f)
 
 
 class TestExtensionArithmetic:
@@ -193,6 +222,11 @@ class TestIntegerCodec:
             int_to_element(32, GF32)
         with pytest.raises(OutOfRangeError):
             int_to_element(-1, GF32)
+
+    @pytest.mark.parametrize("n", [5.0, True, "5"], ids=["float", "bool", "str"])
+    def test_integer_is_strict(self, n):
+        with pytest.raises(TypeError, match="must be an integer"):
+            int_to_element(n, GF32)
 
     def test_round_trip_exhaustive_small(self):
         for n in range(GF32.q):

@@ -56,6 +56,15 @@ class TestGeneration:
         assert set(rs.roots) == {(1,), (-1,)}
         assert len(rs.almost_positive) == 2
 
+    @pytest.mark.parametrize(
+        "cartan",
+        [((2, -1.5), (-1, 2)), ((2.0, -1), (-1, 2))],
+        ids=["off-diagonal-float", "diagonal-float"],
+    )
+    def test_entries_are_strict_integers(self, cartan):
+        with pytest.raises(TypeError, match="must be an integer"):
+            generate_root_system(cartan)
+
     def test_infinite_type_rejected(self):
         with pytest.raises(NotFiniteTypeError):
             generate_root_system(((2, -2), (-2, 2)), bound=100)
