@@ -41,7 +41,8 @@ blob = serialize_ciphertext(params, ct)
 print(f"\nwire form ({len(blob)} bytes):")
 print(" ", blob.decode()[:100], "...")
 
-_, received = deserialize_ciphertext(blob)
+# the receiver holds the same public params and reads the record against them
+received = deserialize_ciphertext(blob, params)
 recovered = decode_message(decrypt(params, key, received), params)
 print("\nreceiver decrypts:", recovered.number, f"({recovered.letter})")
 

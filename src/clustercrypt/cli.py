@@ -153,10 +153,7 @@ def cmd_decrypt(args) -> int:
     lines = [line for line in blob.splitlines() if line.strip()]
     outputs = []
     for line in lines:
-        record_params, ct = deserialize_ciphertext(line)
-        if record_params != params:
-            return _fail_usage("ciphertext params do not match --params")
-        message = decrypt(params, key, ct)
+        message = decrypt(params, key, deserialize_ciphertext(line, params))
         outputs.append(decode_message(message, params))
     if args.format == "json":
         print(
@@ -228,11 +225,9 @@ def cmd_probe(args) -> int:
                 spec = DynkinSpec(family, rank)
             except InvalidSpecError:
                 continue  # a rank this family does not have
-            graph = None
-            if not args.no_enumerate:
-                graph = enumerate_exchange_graph(
-                    dynkin_exchange_matrix(spec), budget=args.budget
-                )
+            graph = enumerate_exchange_graph(
+                dynkin_exchange_matrix(spec), budget=args.budget
+            )
             rows.append(key_recovery_probability(family, rank, graph))
         if len(rows) == before:
             span = f"[{args.min_rank}, {args.max_rank}]"
@@ -382,8 +377,8 @@ def _check_wire_round_trip() -> bool:
         params = example.params
         ct = encrypt(params, example.key, encode_message(example.message, params))
         blob = serialize_ciphertext(params, ct)
-        restored_params, restored = deserialize_ciphertext(blob)
-        if serialize_ciphertext(restored_params, restored) != blob:
+        restored = deserialize_ciphertext(blob, deserialize_params(blob))
+        if serialize_ciphertext(params, restored) != blob:
             return False
     return True
 
@@ -491,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-rank", type=int, default=2)
     p.add_argument("--max-rank", type=int, default=4)
     p.add_argument("--budget", type=int, default=50_000)
-    p.add_argument("--no-enumerate", action="store_true")
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=cmd_probe)
 

@@ -16,13 +16,17 @@ Key, params and ciphertext files are canonical JSON, read by one loader
 that only parses. Integers are checked by the constructors every value
 passes through (`fields.require_int`: no bool, float or str), so a value
 built in code and one read from a file meet the same rule; the loader
-turns any failure while building into a ParseError.
+turns any failure while building into a ParseError. A ciphertext record
+repeats the params as its header; the reader checks that header against
+the params the caller already holds and builds only the matrix and the
+values, so the field is validated once per command, not once per record.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from random import Random
 from typing import Optional, Union
 
@@ -31,7 +35,6 @@ from .cluster import (
     DynkinSpec,
     ExchangeMatrix,
     NumericSeed,
-    Quiver,
     dynkin_exchange_matrix,
     numeric_mutate,
 )
@@ -39,7 +42,6 @@ from .errors import (
     ClusterCryptError,
     CorruptOrWrongKeyError,
     DecryptionFailedError,
-    DenominatorVanishesError,
     EncryptionFailedError,
     InfeasibleKeyError,
     InvalidKeyError,
@@ -203,17 +205,13 @@ class KeyViolation:
     message: str
 
 
-def validate_key(key: SecretKey, matrix_or_quiver) -> tuple[KeyViolation, ...]:
+def validate_key(key: SecretKey, matrix: ExchangeMatrix) -> tuple[KeyViolation, ...]:
     """Every violated constraint, none silently; empty tuple means valid.
 
     Constraints: all indices in [0, r); consecutive mutation indices
     differ; k0 occurs in the sequence; some index adjacent to k0 in the
     quiver appears before the first occurrence of k0.
     """
-    if isinstance(matrix_or_quiver, Quiver):
-        matrix = matrix_or_quiver.to_matrix()
-    else:
-        matrix = matrix_or_quiver
     r = matrix.n
     violations = []
     indices = (key.k0,) + key.seq
@@ -293,22 +291,28 @@ def encrypt(
 ) -> CiphertextSeed:
     """Hide the message at k0 and run the mutation sequence.
 
-    A step whose division or result is zero raises EncryptionFailedError:
-    such a seed can never be decrypted, so the caller should re-key.
+    The message must be r digits in [0, p), else OutOfRangeError. A step
+    whose result is zero raises EncryptionFailedError: such a seed can
+    never be decrypted, so the caller should re-key.
     """
     violations = validate_key(key, params.initial_matrix())
     if violations:
         raise InvalidKeyError(violations)
+    field = params.field
+    if len(message) != field.r or any(
+        not 0 <= require_int(d, "digit") < field.p for d in message
+    ):
+        raise OutOfRangeError(f"message is not {field.r} digits in [0, {field.p})")
     if not any(message):
         raise ZeroMessageError("0 cannot be encrypted")
+    # every value starts nonzero and each new one is checked, so no step
+    # divides by zero; in the reference path each denominator is a monomial
+    # (Laurent phenomenon) evaluated at nonzero coordinates
     if reference_path:
         return _encrypt_reference(params, key, message)
     seed = _initial_numeric_seed(params, key, message)
     for step, k in enumerate(key.seq, start=1):
-        try:
-            seed = numeric_mutate(seed, k, step=step)
-        except MutationDivisionError as exc:
-            raise EncryptionFailedError(step, "zero denominator") from exc
+        seed = numeric_mutate(seed, k, step=step)
         if not any(seed.values[k]):
             raise EncryptionFailedError(step, "mutation produced the zero value")
     return CiphertextSeed(seed.values, seed.matrix)
@@ -345,10 +349,7 @@ def _encrypt_reference(
         seed = rf_mutate(seed, k)
         # the evaluated new entry is exactly the fast path's value at this
         # step; fail in lockstep with it
-        try:
-            value = seed.entries[k].evaluate(moved_point, params.field)
-        except DenominatorVanishesError as exc:
-            raise EncryptionFailedError(step, "zero denominator") from exc
+        value = seed.entries[k].evaluate(moved_point, params.field)
         if not any(value):
             raise EncryptionFailedError(step, "mutation produced the zero value")
     values = tuple(
@@ -415,6 +416,8 @@ def _read_object(data: bytes, build):
         raise ParseError("payload is not UTF-8", position=exc.start) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", position=exc.pos) from exc
+    except RecursionError as exc:
+        raise ParseError("bad JSON: nested too deeply") from exc
     if not isinstance(payload, dict):
         raise ParseError("payload is not an object")
     try:
@@ -425,25 +428,35 @@ def _read_object(data: bytes, build):
         raise ParseError(str(exc)) from exc
 
 
-def _ciphertext_from_dict(payload: dict) -> tuple[SystemParams, CiphertextSeed]:
+def _ciphertext_from_dict(params: SystemParams, payload: dict) -> CiphertextSeed:
     version = payload.get("v")
     if type(version) is not int or version != WIRE_VERSION:
         raise ParseError(f"unsupported version {version!r}")
     missing = {"p", "r", "f", "diagram", "matrix", "values"} - payload.keys()
     if missing:
         raise ParseError(f"missing fields {sorted(missing)}")
-    params = SystemParams.from_dict(payload)
-    matrix = ExchangeMatrix.from_lists(payload["matrix"])
-    ct = CiphertextSeed(payload["values"], matrix)
+    # bytes, not dicts: 2.0 == 2 and True == 1 in Python
+    header = {name: payload[name] for name in ("p", "r", "f", "diagram")}
+    if _canonical_bytes(header) != _canonical_bytes(params.to_dict()):
+        SystemParams.from_dict(header)  # a malformed header names its own fault
+        raise ParseError("ciphertext params do not match --params")
+    ct = CiphertextSeed(payload["values"], ExchangeMatrix.from_lists(payload["matrix"]))
     if any(len(v) != params.field.r for v in ct.values):
         raise ParseError("value digit arrays do not match the field degree")
     if any(not 0 <= d < params.field.p for v in ct.values for d in v):
         raise ParseError("digits outside [0, p)")
-    return params, ct
+    return ct
 
 
-def deserialize_ciphertext(data: bytes) -> tuple[SystemParams, CiphertextSeed]:
-    return _read_object(data, _ciphertext_from_dict)
+def deserialize_ciphertext(data: bytes, params: SystemParams) -> CiphertextSeed:
+    """One record, read against the params the caller holds.
+
+    The record's header must equal `params` byte for byte in canonical
+    form, else ParseError. A record header is a params file plus `v`,
+    `matrix` and `values`, so a caller without params reads a record with
+    `deserialize_ciphertext(line, deserialize_params(line))`.
+    """
+    return _read_object(data, partial(_ciphertext_from_dict, params))
 
 
 def serialize_key(key: SecretKey) -> bytes:

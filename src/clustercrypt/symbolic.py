@@ -123,12 +123,6 @@ class Polynomial:
             terms[exps] = terms.get(exps, 0) + c
         return Polynomial(self.nvars, self.p, terms)
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, self.p, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
             return Polynomial(
@@ -438,18 +432,8 @@ class RationalFunction:
             self.num * other.den + other.num * self.den, self.den * other.den
         )
 
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero():
-            raise NonInvertibleError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
 
     def __pow__(self, e: int) -> "RationalFunction":
         if e < 0:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import clustercrypt
-from clustercrypt import crypto, fields, symbolic
+from clustercrypt import cli, crypto, fields, symbolic
 from clustercrypt.cluster import dynkin_exchange_matrix
 from clustercrypt.known_answers import EXAMPLE_1
 
@@ -79,3 +79,24 @@ def test_one_numeric_mutation_per_cipher_step(monkeypatch):
     ct = crypto.encrypt(EX1_PARAMS, EX1_KEY, message)
     assert crypto.decrypt(EX1_PARAMS, EX1_KEY, ct) == message
     assert len(calls) == 2 * len(EX1_KEY.seq) == 10
+
+
+def test_one_cli_call_per_record(monkeypatch, tmp_path):
+    # the traced run divides cli.overhead_us_per_record by the encrypt and
+    # decrypt counts, so a batch call in their place would divide by zero
+    calls = {"encrypt": 0, "decrypt": 0, "deserialize_ciphertext": 0}
+    for name in calls:
+        original = getattr(cli, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counting)
+    params, key, out = tmp_path / "p.json", tmp_path / "k.json", tmp_path / "ct"
+    params.write_bytes(crypto.serialize_params(EX1_PARAMS))
+    key.write_bytes(crypto.serialize_key(EX1_KEY))
+    files = ["--params", str(params), "--key", str(key)]
+    assert cli.main(["encrypt", *files, "--message", "HELLO", "--out", str(out)]) == 0
+    assert cli.main(["decrypt", *files, "--ciphertext", str(out)]) == 0
+    assert calls == {"encrypt": 5, "decrypt": 5, "deserialize_ciphertext": 5}

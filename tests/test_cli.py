@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from clustercrypt import cli
+from clustercrypt import cli, fields
 from clustercrypt.cli import main
 
 
@@ -74,6 +74,14 @@ class TestKeygen:
                 == 0
             )
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_deeply_nested_params_are_usage_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        out = tmp_path / "k.json"
+        argv = ["keygen", "--params", str(deep), "--length", "4", "--out", str(out)]
+        assert main(argv) == 64
+        assert capsys.readouterr().err == "error: bad JSON: nested too deeply\n"
 
     def test_echoes_generated_seed(self, ex1_files, tmp_path, capsys):
         params, _ = ex1_files
@@ -234,6 +242,68 @@ class TestEncryptDecrypt:
         )
         assert "text: HELP" in capsys.readouterr().out
 
+    def test_decrypt_json_is_pinned(self, ex1_files, tmp_path, capsys):
+        params, key = ex1_files
+        out = tmp_path / "ct.json"
+        files = ["--params", str(params), "--key", str(key)]
+        assert main(["encrypt", *files, "--message", "HELP", "--out", str(out)]) == 0
+        capsys.readouterr()
+        files += ["--ciphertext", str(out)]
+        assert main(["decrypt", *files, "--format", "json"]) == 0
+        assert capsys.readouterr().out == (
+            '[{"number": 8, "letter": "H"}, {"number": 5, "letter": "E"}, '
+            '{"number": 12, "letter": "L"}, {"number": 16, "letter": "P"}]\n'
+        )
+
+    def test_decrypt_validates_the_field_once(
+        self, ex1_files, tmp_path, capsys, monkeypatch
+    ):
+        # each record is read against --params, not rebuilt from its header
+        params, key = ex1_files
+        out = tmp_path / "ct.json"
+        files = ["--params", str(params), "--key", str(key)]
+        assert main(["encrypt", *files, "--message", "HELP", "--out", str(out)]) == 0
+        calls = []
+        original = fields.is_irreducible
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fields, "is_irreducible", counting)
+        assert main(["decrypt", *files, "--ciphertext", str(out)]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "tamper,code,message",
+        [
+            ("zero-value", 3, "error: decryption failed at step 1\n"),
+            ("negated-matrix", 3, "error: matrix did not return to the initial one\n"),
+            ("invalid-key", 64, "error: invalid key: "),
+        ],
+    )
+    def test_decrypt_failures(self, ex1_files, tmp_path, capsys, tamper, code, message):
+        params, key = ex1_files
+        out = tmp_path / "ct.json"
+        files = ["--params", str(params), "--key", str(key)]
+        assert main(["encrypt", *files, "--message", "F", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        if tamper == "zero-value":
+            # undoing the key's last vertex, 1, divides by value 1
+            payload["values"][1] = [0] * 5
+        elif tamper == "negated-matrix":
+            # -B swaps the two monomials of every exchange relation, so the
+            # values return but the matrix comes back negated
+            payload["matrix"] = [[-b for b in row] for row in payload["matrix"]]
+        else:
+            key.write_text('{"k0":0,"seq":[1,1,0]}')
+        out.write_text(json.dumps(payload) + "\n")
+        capsys.readouterr()
+        assert main(["decrypt", *files, "--ciphertext", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message)
+        assert captured.out == ""
+
     def test_integer_message_example2(self, tmp_path, capsys):
         params = tmp_path / "ex2.json"
         key = tmp_path / "ex2key.json"
@@ -333,6 +403,13 @@ class TestGraphProbe:
         captured = capsys.readouterr()
         assert "exchange graph exceeded 10 vertices" in captured.err
         assert captured.out == ""
+
+    def test_graph_params_file_matches_family_and_rank(self, ex1_files, capsys):
+        params, _ = ex1_files
+        assert main(["graph", "--family", "A", "--rank", "5"]) == 0
+        by_spec = capsys.readouterr().out
+        assert main(["graph", "--params", str(params)]) == 0
+        assert capsys.readouterr().out == by_spec
 
     def test_graph_json(self, capsys):
         assert main(["graph", "--family", "B", "--rank", "2", "--format", "json"]) == 0

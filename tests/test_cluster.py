@@ -335,7 +335,13 @@ class TestFiniteType:
         res = is_finite_type(ExchangeMatrix(rows), budget=budget)
         assert (res.verdict, res.family, res.rank, res.explored) == expected
 
-    @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("D", 5), ("G", 2)])
+    @pytest.mark.parametrize(
+        "family,rank",
+        [
+            ("B", 3), ("C", 3), ("D", 5), ("G", 2),
+            ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("A", 1),
+        ],
+    )
     def test_families_recognized_after_scrambling(self, family, rank):
         rng = random.Random(109)
         matrix = dynkin_exchange_matrix(DynkinSpec(family, rank))

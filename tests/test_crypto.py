@@ -2,10 +2,11 @@
 
 import json
 import random
+from functools import partial
 
 import pytest
 
-from clustercrypt.cluster import DynkinSpec, Quiver
+from clustercrypt.cluster import DynkinSpec
 from clustercrypt.crypto import (
     DEFAULT_ALPHABET,
     CiphertextSeed,
@@ -172,24 +173,6 @@ class TestKeyValidation:
         violations = validate_key(SecretKey(0, (3, 4, 0)), EX1.initial_matrix())
         assert [v.code for v in violations] == ["no-adjacent-before-hide"]
 
-    @pytest.mark.parametrize(
-        "key",
-        [
-            EX1_KEY,
-            SecretKey(2, (1, 3, 1)),
-            SecretKey(0, (5, 0)),
-            SecretKey(1, (1, 1)),
-            SecretKey(1, (1, 1, 0)),
-            SecretKey(0, (0, 1, 0)),
-            SecretKey(0, (3, 4, 0)),
-        ],
-    )
-    def test_quiver_gives_the_same_violations(self, key):
-        matrix = EX1.initial_matrix()
-        assert validate_key(key, Quiver.from_matrix(matrix)) == validate_key(
-            key, matrix
-        )
-
     def test_every_constraint_has_one_code(self):
         codes = set()
         for key in (
@@ -259,6 +242,15 @@ class TestEncrypt:
     def test_zero_message_rejected(self):
         with pytest.raises(ZeroMessageError):
             encrypt(EX1, EX1_KEY, EX1.field.zero())
+
+    # too short, a digit >= p, too long, a digit >= p
+    @pytest.mark.parametrize(
+        "message", [(1,), (7, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0), (2, 1, 0, 0, 0)]
+    )
+    @pytest.mark.parametrize("reference_path", [False, True], ids=["fast", "reference"])
+    def test_malformed_message_is_out_of_range(self, message, reference_path):
+        with pytest.raises(OutOfRangeError, match="not 5 digits in"):
+            encrypt(EX1, EX1_KEY, message, reference_path=reference_path)
 
     def test_invalid_key_rejected(self):
         with pytest.raises(InvalidKeyError) as err:
@@ -349,15 +341,14 @@ class TestWireFormat:
     def test_byte_exact_round_trip_example1(self):
         ct = encrypt(EX1, EX1_KEY, encode_message("F", EX1))
         blob = serialize_ciphertext(EX1, ct)
-        params, restored = deserialize_ciphertext(blob)
-        assert params == EX1
+        restored = deserialize_ciphertext(blob, EX1)
         assert restored == ct
-        assert serialize_ciphertext(params, restored) == blob
+        assert serialize_ciphertext(EX1, restored) == blob
 
     def test_large_values_survive_exactly(self):
         ct = encrypt(EX2, EX2_KEY, encode_message(38927, EX2))
         blob = serialize_ciphertext(EX2, ct)
-        _, restored = deserialize_ciphertext(blob)
+        restored = deserialize_ciphertext(blob, EX2)
         assert element_to_int(restored.values[3], EX2.field) == 12799379480831
         assert b"." not in blob  # digits only, no floats
         assert serialize_ciphertext(EX2, restored) == blob
@@ -366,19 +357,19 @@ class TestWireFormat:
         ct = encrypt(EX1, EX1_KEY, encode_message("F", EX1))
         blob = serialize_ciphertext(EX1, ct)
         with pytest.raises(ParseError):
-            deserialize_ciphertext(blob[: len(blob) // 2])
+            deserialize_ciphertext(blob[: len(blob) // 2], EX1)
 
     def test_bad_version(self):
         ct = encrypt(EX1, EX1_KEY, encode_message("F", EX1))
         blob = serialize_ciphertext(EX1, ct).replace(b'"v":1', b'"v":9')
         with pytest.raises(ParseError):
-            deserialize_ciphertext(blob)
+            deserialize_ciphertext(blob, EX1)
 
     def test_bad_digits(self):
         ct = encrypt(EX1, EX1_KEY, encode_message("F", EX1))
         blob = serialize_ciphertext(EX1, ct)
         with pytest.raises(ParseError):
-            deserialize_ciphertext(blob.replace(b"[1,1,0,1,0]", b"[1,1,0,1,7]"))
+            deserialize_ciphertext(blob.replace(b"[1,1,0,1,0]", b"[1,1,0,1,7]"), EX1)
 
     def test_key_file_round_trip(self):
         blob = serialize_key(EX1_KEY)
@@ -423,6 +414,49 @@ class TestWireFormat:
         payload["diagram"]["rank"] = rank
         with pytest.raises(ParseError):
             deserialize_params(json.dumps(payload).encode())
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            # the diagram's default orientation spelled out, and a modulus
+            # coefficient not reduced mod p: each builds params equal to
+            # EX1, but the header bytes differ
+            {"diagram": {"family": "A", "rank": 5, "orientation": "default"}},
+            {"f": [3, 0, 1, 0, 0, 1]},
+        ],
+        ids=["orientation-default", "f-unreduced"],
+    )
+    def test_header_must_equal_the_params_bytes(self, header):
+        ct = encrypt(EX1, EX1_KEY, encode_message("F", EX1))
+        payload = json.loads(serialize_ciphertext(EX1, ct))
+        payload.update(header)
+        with pytest.raises(ParseError, match="^ciphertext params do not match"):
+            deserialize_ciphertext(json.dumps(payload).encode(), EX1)
+
+    def test_malformed_header_names_its_own_fault(self):
+        ct = encrypt(EX1, EX1_KEY, encode_message("F", EX1))
+        payload = json.loads(serialize_ciphertext(EX1, ct))
+        payload["p"] = 2.0
+        with pytest.raises(ParseError, match=r"^p must be an integer, got 2\.0$"):
+            deserialize_ciphertext(json.dumps(payload).encode(), EX1)
+
+    def test_record_reads_with_its_own_header_as_params(self):
+        ct = encrypt(EX2, EX2_KEY, encode_message(38927, EX2))
+        blob = serialize_ciphertext(EX2, ct)
+        assert deserialize_ciphertext(blob, deserialize_params(blob)) == ct
+
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            deserialize_key,
+            deserialize_params,
+            partial(deserialize_ciphertext, params=EX1),
+        ],
+        ids=["key", "params", "ciphertext"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, reader):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            reader(b"[" * 100_000)
 
     @pytest.mark.parametrize("reader", [deserialize_key, deserialize_params])
     def test_non_utf8_is_a_parse_error_with_position(self, reader):
@@ -471,4 +505,4 @@ class TestWireFormat:
             target = target[step]
         target[path[-1]] = value
         with pytest.raises(ParseError):
-            deserialize_ciphertext(json.dumps(payload).encode())
+            deserialize_ciphertext(json.dumps(payload).encode(), EX1)
