@@ -42,6 +42,7 @@ from .symbolic import (
 )
 
 FINGERPRINT_PRIME = (1 << 61) - 1  # Mersenne prime 2^61 - 1
+FINGERPRINT_POINT_SEED = 0x5EED
 
 
 # --- exchange-graph enumeration ----------------------------------------------
@@ -88,11 +89,7 @@ class _PointCollision(Exception):
     """Zero, duplicate or merged fingerprints at the evaluation point; retry."""
 
 
-def enumerate_exchange_graph(
-    matrix: ExchangeMatrix,
-    budget: int = 50_000,
-    point_seed: int = 0x5EED,
-) -> ExchangeGraph:
+def enumerate_exchange_graph(matrix: ExchangeMatrix, budget: int = 50_000) -> ExchangeGraph:
     """BFS over mutation classes of (values, matrix) fingerprint seeds.
 
     Requires finite type (checked first). A vertex is keyed by its sorted
@@ -107,7 +104,7 @@ def enumerate_exchange_graph(
         )
     p = FINGERPRINT_PRIME
     for attempt in range(10):
-        rng = Random(point_seed * 1_000_003 + attempt)
+        rng = Random(FINGERPRINT_POINT_SEED * 1_000_003 + attempt)
         point = tuple(rng.randrange(2, p - 1) for _ in range(matrix.n))
         try:
             return _enumerate_at_point(matrix, point, p, budget)
@@ -293,33 +290,27 @@ EXCEPTIONAL_REFERENCE_ROWS = (
 class ProbabilityRow:
     family: str
     rank: int
-    classes_enumerated: Optional[int]
+    classes_enumerated: int
     classes_closed_form: Optional[int]
-    labeled_seeds: Optional[int]
-    prob_enumerated: Optional[Fraction]
+    labeled_seeds: int
+    prob_enumerated: Fraction
     prob_closed_form: Optional[Fraction]
     match: Optional[bool]
     note: str = ""
 
 
-def key_recovery_probability(
-    family: str, rank: int, graph: Optional[ExchangeGraph] = None
-) -> ProbabilityRow:
+def key_recovery_probability(family: str, rank: int, graph: ExchangeGraph) -> ProbabilityRow:
     """1/(N_C * r!) from enumeration and the reference closed form.
 
     Disagreements are flagged in the row, not raised: the reference
     A-family formula contradicts its own A_3 class count, and this
     report shows both sides rather than silently correcting either.
     """
-    classes = graph.n_vertices if graph is not None else None
-    labeled = graph.labeled_seed_count if graph is not None else None
-    prob_enum = (
-        Fraction(1, classes * math.factorial(rank)) if classes is not None else None
-    )
+    prob_enum = Fraction(1, graph.n_vertices * math.factorial(rank))
     prob_closed = probability_closed_form(family, rank)
     match = None
     note = ""
-    if prob_enum is not None and prob_closed is not None:
+    if prob_closed is not None:
         match = prob_enum == prob_closed
         if not match:
             note = (
@@ -329,9 +320,9 @@ def key_recovery_probability(
     return ProbabilityRow(
         family=family,
         rank=rank,
-        classes_enumerated=classes,
+        classes_enumerated=graph.n_vertices,
         classes_closed_form=class_count_closed_form(family, rank),
-        labeled_seeds=labeled,
+        labeled_seeds=graph.labeled_seed_count,
         prob_enumerated=prob_enum,
         prob_closed_form=prob_closed,
         match=match,
@@ -380,10 +371,10 @@ def probability_report(rows: Sequence[ProbabilityRow], fmt: str = "text") -> str
     for row in rows:
         lines.append(
             f"{row.family + str(row.rank):>8} "
-            f"{row.classes_enumerated if row.classes_enumerated is not None else '-':>9} "
+            f"{row.classes_enumerated:>9} "
             f"{row.classes_closed_form if row.classes_closed_form is not None else '-':>9} "
-            f"{row.labeled_seeds if row.labeled_seeds is not None else '-':>8} "
-            f"{str(row.prob_enumerated) if row.prob_enumerated is not None else '-':>14} "
+            f"{row.labeled_seeds:>8} "
+            f"{str(row.prob_enumerated):>14} "
             f"{str(row.prob_closed_form) if row.prob_closed_form is not None else '-':>14}  "
             f"{'' if row.match is None else ('yes' if row.match else 'NO (flagged)')}"
         )
@@ -403,17 +394,13 @@ def probability_report(rows: Sequence[ProbabilityRow], fmt: str = "text") -> str
 # --- symbolic enumeration and certifications -------------------------------------
 
 
-def enumerate_symbolic_seeds(
-    matrix: ExchangeMatrix,
-    p: int = FINGERPRINT_PRIME,
-    budget: int = 5_000,
-) -> list[SymbolicSeed]:
+def enumerate_symbolic_seeds(matrix: ExchangeMatrix, budget: int = 5_000) -> list[SymbolicSeed]:
     """All seeds up to relabelling, as canonically ordered symbolic seeds.
 
-    Feasible at small rank only; coefficients live in Z_p with p large to
-    emulate characteristic 0.
+    Feasible at small rank only; coefficients live in Z_p for the large
+    p = FINGERPRINT_PRIME, to emulate characteristic 0.
     """
-    start = initial_symbolic_seed(matrix, p)
+    start = initial_symbolic_seed(matrix, FINGERPRINT_PRIME)
     seeds, _ = _walk_seed_classes(
         start.entries, matrix, RationalFunction.canonical_key,
         lambda entries, b, k: rf_mutate(SymbolicSeed(entries, b), k).entries,
@@ -422,12 +409,10 @@ def enumerate_symbolic_seeds(
     return [SymbolicSeed(entries, current) for entries, current in seeds]
 
 
-def cluster_variables(
-    matrix: ExchangeMatrix, p: int = FINGERPRINT_PRIME, budget: int = 5_000
-) -> list[RationalFunction]:
+def cluster_variables(matrix: ExchangeMatrix, budget: int = 5_000) -> list[RationalFunction]:
     """Every distinct cluster variable of a finite-type seed, in lowest terms."""
     seen = {}
-    for seed in enumerate_symbolic_seeds(matrix, p, budget):
+    for seed in enumerate_symbolic_seeds(matrix, budget):
         for entry in seed.entries:
             key = entry.canonical_key()
             if key not in seen:
@@ -498,9 +483,8 @@ def verify_seed_list_a3(graph: ExchangeGraph) -> SeedListReport:
             False, (), (), tuple(range(len(A3_REFERENCE_CLUSTERS))),
             (f"graph rank {graph.rank} != 3",),
         )
-    p = graph.prime
-    matrix = dynkin_exchange_matrix(DynkinSpec("A", 3))
-    seeds = enumerate_symbolic_seeds(matrix, p)
+    p = FINGERPRINT_PRIME
+    seeds = enumerate_symbolic_seeds(dynkin_exchange_matrix(DynkinSpec("A", 3)))
     reference = [
         frozenset(RationalFunction.parse(s, 3, p).canonical_key() for s in cluster)
         for cluster in A3_REFERENCE_CLUSTERS
@@ -558,9 +542,7 @@ class BijectionReport:
     zero_constant_terms: tuple[str, ...]
 
 
-def check_denominator_bijection(
-    matrix: ExchangeMatrix, p: int = FINGERPRINT_PRIME
-) -> BijectionReport:
+def check_denominator_bijection(matrix: ExchangeMatrix) -> BijectionReport:
     """Denominator vectors of all cluster variables vs almost-positive roots.
 
     The variables' denominator vectors must biject with R_{>=-1} of the
@@ -568,7 +550,7 @@ def check_denominator_bijection(
     negated simple roots), and every numerator must keep a nonzero
     constant term.
     """
-    variables = cluster_variables(matrix, p)
+    variables = cluster_variables(matrix)
     vectors = sorted(v.denominator_vector() for v in variables)
     roots = generate_root_system(cartan_counterpart(matrix))
     almost = sorted(roots.almost_positive)

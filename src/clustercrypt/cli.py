@@ -180,9 +180,11 @@ def cmd_graph(args) -> int:
     else:
         spec = DynkinSpec(args.family, args.rank, _parse_orientation(args.orientation))
     matrix = dynkin_exchange_matrix(spec)
+    # a valued diagram has no quiver: fail before the enumeration, not after
+    dot = Quiver.from_matrix(matrix).to_dot() if args.dot else None
     graph = enumerate_exchange_graph(matrix, budget=args.budget)
     if args.dot:
-        _write_file(args.dot, Quiver.from_matrix(matrix).to_dot().encode() + b"\n")
+        _write_file(args.dot, dot.encode() + b"\n")
         print(f"wrote {args.dot}")
     info = {
         "diagram": f"{spec.family}{spec.rank}",

@@ -263,7 +263,8 @@ def dynkin_edges(family: str, rank: int) -> list[tuple[int, int, int, int]]:
     Vertex labels: chains run 0..rank-1; D forks at rank-3 into tips
     rank-2 and rank-1; E hangs vertex rank-1 off vertex 2. The valued
     edge of B carries the 2 in row rank-2 (|b_{r-2,r-1}| = 2); C is the
-    mirror image. This placement is a convention of this package.
+    mirror image. This placement is a convention of this package, and
+    classify_cartan recognizes a diagram by comparison with these trees.
     """
     _check_family_rank(family, rank)
     if family in ("A", "B", "C"):
@@ -319,11 +320,12 @@ class DynkinSpec:
         return d
 
 
-def _tree_adjacency(edges, n) -> dict[int, list[int]]:
+def _tree_adjacency(edges, n) -> dict[int, list[tuple[int, str]]]:
+    """Neighbours with edge labels: edge (i, j, a, b) is "a,b" from i, "b,a" from j."""
     adjacency = {v: [] for v in range(n)}
-    for i, j, *_ in edges:
-        adjacency[i].append(j)
-        adjacency[j].append(i)
+    for i, j, a, b in edges:
+        adjacency[i].append((j, f"{a},{b}"))
+        adjacency[j].append((i, f"{b},{a}"))
     return adjacency
 
 
@@ -333,7 +335,7 @@ def _bipartite_direction(edges, rank) -> dict[tuple[int, int], bool]:
     # states are (vertex, depth); the first visit to a vertex is its depth
     walk = breadth_first(
         [(0, 0)],
-        lambda state: [(w, state[1] + 1) for w in adjacency[state[0]]],
+        lambda state: [(w, state[1] + 1) for w, _ in adjacency[state[0]]],
         lambda state: state[0],
     )
     depth = dict(state for _, state, _ in walk)
@@ -381,84 +383,80 @@ def standard_cartan(family: str, rank: int) -> Rows:
 # --- finite-type recognition ----------------------------------------------
 
 
+def _tree_form(edges, n) -> Optional[str]:
+    """Canonical form of the valued tree with edges (i, j, a_ij, a_ji), or None.
+
+    The tree is hung from each of its one or two centres and encoded from
+    the leaves up: a vertex is the label of the edge from its parent, then
+    its children's codes, sorted. The smaller code is the form.
+    """
+    if len(edges) != n - 1:
+        return None
+    adjacency = _tree_adjacency(edges, n)
+    walk = breadth_first([0], lambda v: [w for w, _ in adjacency[v]], lambda v: v)
+    if sum(1 for _ in walk) != n:
+        return None
+    # peel the leaves layer by layer; the last one or two are the centres
+    degree = {v: len(adjacency[v]) for v in range(n)}
+    layer = [v for v in range(n) if degree[v] <= 1]
+    remaining = n
+    while remaining > 2:
+        remaining -= len(layer)
+        next_layer = []
+        for v in layer:
+            for w, _ in adjacency[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    next_layer.append(w)
+        layer = next_layer
+    codes = []
+    for centre in layer:
+        walk = breadth_first(
+            [(centre, None, "")],
+            lambda state: [(w, state[0], label) for w, label in adjacency[state[0]]],
+            lambda state: state[0],
+        )
+        children = {v: [] for v in range(n)}
+        for v, parent, label in reversed([state for _, state, _ in walk]):
+            code = "(" + label + "".join(sorted(children[v])) + ")"
+            if parent is not None:
+                children[parent].append(code)
+        codes.append(code)  # the last code built is the centre's
+    return min(codes)
+
+
+@lru_cache(maxsize=None)
+def _dynkin_form(family: str, rank: int) -> Optional[str]:
+    try:
+        edges = dynkin_edges(family, rank)
+    except InvalidSpecError:
+        return None  # the family has no diagram of this rank
+    return _tree_form([(i, j, -wij, -wji) for i, j, wij, wji in edges], rank)
+
+
 def classify_cartan(cartan: Rows) -> Optional[tuple[str, int]]:
     """(family, rank) if the matrix is a connected finite-type Cartan matrix.
 
-    Recognizes the underlying valued tree structurally; B_2 is reported
-    for the rank-2 double edge (C_2 is the same diagram).
+    Its valued tree, an edge (i, j, a_ij, a_ji) per pair with a nonzero
+    entry, must relabel the tree of dynkin_edges(family, rank) with edges
+    labelled -|b|. Families are tried in FAMILIES order, so the rank-2
+    double edge (B_2 and C_2 alike) is reported as B_2.
     """
     n = len(cartan)
-    for i in range(n):
-        if cartan[i][i] != 2:
-            return None
-        for j in range(n):
-            if i != j and cartan[i][j] > 0:
-                return None
-            if i != j and (cartan[i][j] == 0) != (cartan[j][i] == 0):
-                return None
-    if n == 1:
-        return ("A", 1)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = cartan[i][j] * cartan[j][i]
-            if w:
-                if w > 3:
-                    return None
-                edges.append((i, j, w))
-    if len(edges) != n - 1:
-        return None  # not a tree (or disconnected)
-    adjacency = _tree_adjacency(edges, n)
-    reached = sum(1 for _ in breadth_first([0], adjacency.__getitem__, lambda v: v))
-    if reached != n:
+    if any(cartan[i][i] != 2 for i in range(n)):
         return None
-    degrees = {v: len(adjacency[v]) for v in range(n)}
-    weighted = [(i, j, w) for i, j, w in edges if w > 1]
-    if len(weighted) > 1:
+    edges = [
+        (i, j, cartan[i][j], cartan[j][i])
+        for i in range(n)
+        for j in range(i + 1, n)
+        if cartan[i][j] or cartan[j][i]
+    ]
+    form = _tree_form(edges, n)
+    if form is None:
         return None
-    if weighted:
-        i, j, w = weighted[0]
-        if w == 3:
-            return ("G", 2) if n == 2 else None
-        if any(degrees[v] > 2 for v in range(n)):
-            return None  # weighted diagrams are chains
-        if n == 2:
-            return ("B", 2)
-        ends = {v for v in (i, j) if degrees[v] == 1}
-        if not ends:
-            # weighted edge interior to the chain: F_4
-            return ("F", 4) if n == 4 else None
-        end = ends.pop()
-        interior = j if end == i else i
-        # B has the -2 in the interior row (short end vertex), C the mirror
-        if cartan[interior][end] == -2:
-            return ("B", n)
-        return ("C", n)
-    # simply laced
-    branch_vertices = [v for v in range(n) if degrees[v] > 2]
-    if not branch_vertices:
-        return ("A", n)
-    if len(branch_vertices) > 1 or degrees[branch_vertices[0]] != 3:
-        return None
-    hub = branch_vertices[0]
-    arm_lengths = []
-    for start in adjacency[hub]:
-        length = 1
-        prev, cur = hub, start
-        while degrees[cur] == 2:
-            nxt = next(w for w in adjacency[cur] if w != prev)
-            prev, cur = cur, nxt
-            length += 1
-        arm_lengths.append(length)
-    arms = tuple(sorted(arm_lengths))
-    if arms[0] == 1 and arms[1] == 1:
-        return ("D", n)
-    if arms == (1, 2, 2):
-        return ("E", 6)
-    if arms == (1, 2, 3):
-        return ("E", 7)
-    if arms == (1, 2, 4):
-        return ("E", 8)
+    for family in FAMILIES:
+        if _dynkin_form(family, n) == form:
+            return (family, n)
     return None
 
 

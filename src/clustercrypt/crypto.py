@@ -441,6 +441,8 @@ def _ciphertext_from_dict(params: SystemParams, payload: dict) -> CiphertextSeed
         SystemParams.from_dict(header)  # a malformed header names its own fault
         raise ParseError("ciphertext params do not match --params")
     ct = CiphertextSeed(payload["values"], ExchangeMatrix.from_lists(payload["matrix"]))
+    if ct.matrix.n != params.field.r:
+        raise ParseError(f"ciphertext rank {ct.matrix.n} != field degree {params.field.r}")
     if any(len(v) != params.field.r for v in ct.values):
         raise ParseError("value digit arrays do not match the field degree")
     if any(not 0 <= d < params.field.p for v in ct.values for d in v):

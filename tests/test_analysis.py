@@ -17,7 +17,6 @@ from clustercrypt.analysis import (
     enumerate_symbolic_seeds,
     key_recovery_probability,
     path_count,
-    probability_closed_form,
     probability_report,
     verify_seed_list_a3,
 )
@@ -244,12 +243,6 @@ class TestProbabilities:
         row = key_recovery_probability("D", 4, graph_for("D", 4))
         assert row.match is True
 
-    def test_closed_form_without_graph(self):
-        row = key_recovery_probability("C", 5)
-        assert row.classes_enumerated is None
-        assert row.prob_closed_form == probability_closed_form("C", 5)
-        assert row.match is None
-
     def test_report_contains_flag_and_reference_rows(self):
         rows = [
             key_recovery_probability("A", 3, A3_GRAPH),
@@ -306,7 +299,7 @@ class TestSymbolicEnumeration:
             (A3_GRAPH, "A", 3),
         ):
             matrix = dynkin_exchange_matrix(DynkinSpec(family, rank))
-            variables = cluster_variables(matrix, graph.prime)
+            variables = cluster_variables(matrix)
             fingerprints = [v.evaluate_int(graph.point) for v in variables]
             assert len(set(fingerprints)) == len(variables)
 
@@ -338,7 +331,7 @@ class TestSymbolicEnumeration:
         # by fingerprint order, is a vertex (values and rows) of the graph
         graph = graph_for(family, rank)
         matrix = dynkin_exchange_matrix(DynkinSpec(family, rank))
-        seeds = enumerate_symbolic_seeds(matrix, graph.prime)
+        seeds = enumerate_symbolic_seeds(matrix)
         assert len(seeds) == graph.n_vertices
         vertices = set()
         for seed in seeds:

@@ -6,7 +6,9 @@ import json
 import pytest
 
 from clustercrypt import cli, fields
+from clustercrypt.analysis import enumerate_exchange_graph
 from clustercrypt.cli import main
+from clustercrypt.cluster import DynkinSpec, Quiver, dynkin_exchange_matrix
 
 
 @pytest.fixture
@@ -54,6 +56,37 @@ class TestParams:
             ]
         )
         assert code == 64
+
+
+    def test_explicit_orientation_is_written(self, tmp_path):
+        out = tmp_path / "p.json"
+        code = main(
+            [
+                "params",
+                "--p", "5", "--r", "3", "--f", "3,4,0,1",
+                "--family", "A", "--rank", "3", "--orientation", "1>0,1>2",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert out.read_bytes() == (
+            b'{"diagram":{"family":"A","orientation":[[1,0],[1,2]],"rank":3},'
+            b'"f":[3,4,0,1],"p":5,"r":3}'
+        )
+
+    @pytest.mark.parametrize("orientation", ["0-1,1>2", "0>x,1>2"])
+    def test_malformed_orientation_is_usage_error(self, tmp_path, orientation):
+        out = tmp_path / "p.json"
+        code = main(
+            [
+                "params",
+                "--p", "5", "--r", "3", "--f", "3,4,0,1",
+                "--family", "A", "--rank", "3", "--orientation", orientation,
+                "--out", str(out),
+            ]
+        )
+        assert code == 64
+        assert not out.exists()
 
 
 class TestKeygen:
@@ -304,6 +337,36 @@ class TestEncryptDecrypt:
         assert captured.err.startswith(message)
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "tamper,message",
+        [
+            ("wrong-rank", "error: ciphertext rank 3 != field degree 5\n"),
+            ("missing-fields", "error: missing fields ['matrix', 'values']\n"),
+            ("short-digits", "error: value digit arrays do not match the field degree\n"),
+        ],
+        ids=["wrong-rank", "missing-fields", "short-digits"],
+    )
+    def test_unreadable_records_are_usage_errors(
+        self, ex1_files, tmp_path, capsys, tamper, message
+    ):
+        params, key = ex1_files
+        out = tmp_path / "ct.json"
+        files = ["--params", str(params), "--key", str(key)]
+        assert main(["encrypt", *files, "--message", "F", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        if tamper == "wrong-rank":
+            # the A5 header kept over a 3x3 matrix and three values
+            payload["matrix"] = [row[:3] for row in payload["matrix"][:3]]
+            payload["values"] = payload["values"][:3]
+        elif tamper == "missing-fields":
+            del payload["matrix"], payload["values"]
+        else:
+            payload["values"][0] = payload["values"][0][:-1]
+        out.write_text(json.dumps(payload) + "\n")
+        capsys.readouterr()
+        assert main(["decrypt", *files, "--ciphertext", str(out)]) == 64
+        assert capsys.readouterr() == ("", message)
+
     def test_integer_message_example2(self, tmp_path, capsys):
         params = tmp_path / "ex2.json"
         key = tmp_path / "ex2key.json"
@@ -410,6 +473,52 @@ class TestGraphProbe:
         by_spec = capsys.readouterr().out
         assert main(["graph", "--params", str(params)]) == 0
         assert capsys.readouterr().out == by_spec
+
+    def test_graph_orientation_matches_the_library_graph(self, capsys):
+        argv = ["graph", "--family", "A", "--rank", "3", "--orientation", "1>0,1>2"]
+        assert main([*argv, "--format", "json"]) == 0
+        info = json.loads(capsys.readouterr().out)
+        spec = DynkinSpec("A", 3, ((1, 0), (1, 2)))
+        graph = enumerate_exchange_graph(dynkin_exchange_matrix(spec))
+        assert (info["vertices"], info["edges"], info["labeled_seeds"]) == (
+            graph.n_vertices, graph.n_edges, graph.labeled_seed_count
+        )
+        assert info["fingerprint_point"] == list(graph.point)
+
+    def test_graph_malformed_orientation_is_usage_error(self, capsys):
+        argv = ["graph", "--family", "A", "--rank", "3", "--orientation", "0-1,1>2"]
+        assert main(argv) == 64
+        assert capsys.readouterr().out == ""
+
+    def test_graph_csv(self, capsys):
+        assert main(["graph", "--family", "A", "--rank", "3", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == (
+            "diagram,vertices,edges,labeled_seeds,regular,connected\n"
+            "A3,14,21,84,True,True\n"
+        )
+
+    def test_graph_dot_writes_the_initial_quiver(self, tmp_path, capsys):
+        dot = tmp_path / "a3.dot"
+        assert main(["graph", "--family", "A", "--rank", "3"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["graph", "--family", "A", "--rank", "3", "--dot", str(dot)]) == 0
+        assert capsys.readouterr().out == f"wrote {dot}\n" + plain
+        matrix = dynkin_exchange_matrix(DynkinSpec("A", 3))
+        assert dot.read_text() == Quiver.from_matrix(matrix).to_dot() + "\n"
+
+    def test_graph_dot_of_a_valued_diagram_fails_before_enumerating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def enumerate_exchange_graph(*args, **kwargs):
+            pytest.fail("the exchange graph was enumerated")
+
+        monkeypatch.setattr(cli, "enumerate_exchange_graph", enumerate_exchange_graph)
+        dot = tmp_path / "b3.dot"
+        assert main(["graph", "--family", "B", "--rank", "3", "--dot", str(dot)]) == 64
+        assert capsys.readouterr() == (
+            "", "error: only skew-symmetric matrices correspond to quivers\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_graph_json(self, capsys):
         assert main(["graph", "--family", "B", "--rank", "2", "--format", "json"]) == 0

@@ -1,6 +1,7 @@
 """Exchange matrices, quivers, Dynkin constructors, numeric mutation."""
 
 import random
+import time
 
 import pytest
 
@@ -352,6 +353,78 @@ class TestFiniteType:
 
     def test_classify_rejects_disconnected(self):
         assert classify_cartan(((2, 0), (0, 2))) is None
+
+
+def cartan_of_tree(n, edges):
+    """2 on the diagonal, a_ij and a_ji for each edge (i, j, a_ij, a_ji), else 0."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j, a_ij, a_ji in edges:
+        rows[i][j], rows[j][i] = a_ij, a_ji
+    return tuple(map(tuple, rows))
+
+
+def tree_with_arms(*lengths):
+    """Simply laced tree: arms of the given lengths hung from vertex 0."""
+    edges, n = [], 1
+    for length in lengths:
+        previous = 0
+        for _ in range(length):
+            edges.append((previous, n, -1, -1))
+            previous, n = n, n + 1
+    return cartan_of_tree(n, edges)
+
+
+class TestClassifyCartan:
+    @pytest.mark.parametrize(
+        "family,rank",
+        [("A", r) for r in range(1, 9)]
+        + [("B", r) for r in range(2, 9)]
+        + [("C", r) for r in range(2, 9)]
+        + [("D", r) for r in range(4, 9)]
+        + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+    )
+    def test_every_relabelling_is_its_own_type(self, family, rank):
+        # B_n and C_n differ for n >= 3 only in which end row holds the -2
+        cartan = standard_cartan(family, rank)
+        # the rank-2 double edge is B_2 and C_2 alike and is reported as B_2
+        expected = ("B", 2) if (family, rank) == ("C", 2) else (family, rank)
+        rng = random.Random(f"{family}{rank}")
+        for _ in range(20):
+            perm = list(range(rank))
+            rng.shuffle(perm)
+            relabelled = tuple(
+                tuple(cartan[perm[i]][perm[j]] for j in range(rank)) for i in range(rank)
+            )
+            assert classify_cartan(relabelled) == expected
+
+    @pytest.mark.parametrize(
+        "cartan",
+        [
+            tree_with_arms(1, 2, 5),
+            tree_with_arms(2, 2, 2),
+            tree_with_arms(1, 3, 3),
+            tree_with_arms(1, 1, 1, 1),
+            # D5~: two branch vertices joined by an edge
+            cartan_of_tree(
+                6,
+                [(0, 2, -1, -1), (1, 2, -1, -1), (2, 3, -1, -1),
+                 (3, 4, -1, -1), (3, 5, -1, -1)],
+            ),
+            cartan_of_tree(2, [(0, 1, -2, -2)]),
+            cartan_of_tree(2, [(0, 1, -4, -1)]),
+        ],
+        ids=["arms-1-2-5", "arms-2-2-2", "arms-1-3-3", "K_1_4", "D5-affine", "2-2", "4-1"],
+    )
+    def test_valued_trees_that_are_not_dynkin(self, cartan):
+        assert classify_cartan(cartan) is None
+
+    def test_long_chain_classifies_without_recursion(self):
+        # far past the interpreter's recursion limit
+        n = 1500
+        cartan = cartan_of_tree(n, [(i, i + 1, -1, -1) for i in range(n - 1)])
+        start = time.perf_counter()
+        assert classify_cartan(cartan) == ("A", n)
+        assert time.perf_counter() - start < 2
 
 
 GF5 = FieldParams(5, 1, (3, 1))  # GF(5) itself: f = x + 3 is degree 1

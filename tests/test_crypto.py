@@ -440,6 +440,32 @@ class TestWireFormat:
         with pytest.raises(ParseError, match=r"^p must be an integer, got 2\.0$"):
             deserialize_ciphertext(json.dumps(payload).encode(), EX1)
 
+    def test_record_of_the_wrong_rank_is_a_parse_error(self):
+        # an A5 header over a 3x3 matrix and three values is unreadable
+        # input, not a decryption failure
+        ct = encrypt(EX1, EX1_KEY, encode_message("F", EX1))
+        payload = json.loads(serialize_ciphertext(EX1, ct))
+        payload["matrix"] = [row[:3] for row in payload["matrix"][:3]]
+        payload["values"] = payload["values"][:3]
+        with pytest.raises(ParseError, match=r"^ciphertext rank 3 != field degree 5$"):
+            deserialize_ciphertext(json.dumps(payload).encode(), EX1)
+
+    def test_missing_fields_are_named(self):
+        ct = encrypt(EX1, EX1_KEY, encode_message("F", EX1))
+        payload = json.loads(serialize_ciphertext(EX1, ct))
+        del payload["values"], payload["diagram"]
+        with pytest.raises(ParseError, match=r"^missing fields \['diagram', 'values'\]$"):
+            deserialize_ciphertext(json.dumps(payload).encode(), EX1)
+
+    def test_digit_array_one_digit_short(self):
+        ct = encrypt(EX1, EX1_KEY, encode_message("F", EX1))
+        payload = json.loads(serialize_ciphertext(EX1, ct))
+        payload["values"][2] = payload["values"][2][:-1]
+        with pytest.raises(
+            ParseError, match="^value digit arrays do not match the field degree$"
+        ):
+            deserialize_ciphertext(json.dumps(payload).encode(), EX1)
+
     def test_record_reads_with_its_own_header_as_params(self):
         ct = encrypt(EX2, EX2_KEY, encode_message(38927, EX2))
         blob = serialize_ciphertext(EX2, ct)
