@@ -39,9 +39,10 @@ class ExchangeMatrix:
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.rows))
-        for row in rows:
-            for x in row:
-                require_int(x, "matrix entry")
+        if not all(type(x) is int for row in rows for x in row):
+            for row in rows:
+                for x in row:
+                    require_int(x, "matrix entry")
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         for row in rows:
@@ -87,20 +88,25 @@ class ExchangeMatrix:
 
 
 def matrix_mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Mutation at vertex k; the input is unchanged."""
+    """Mutation at vertex k; the input is unchanged.
+
+    Only row k and the rows i with b_ik != 0 change; every other row is
+    shared as it is, since b_ij moves only when b_ik and b_kj are nonzero.
+    """
     n = matrix.n
     if not 0 <= k < n:
         raise InvalidVertexError(f"vertex {k} outside [0, {n})")
     b = matrix.rows
-    new_rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-b[i][j])
-            else:
-                row.append(b[i][j] + (abs(b[i][k]) * b[k][j] + b[i][k] * abs(b[k][j])) // 2)
-        new_rows.append(tuple(row))
+    row_k = b[k]
+    new_rows = list(b)
+    for i, row in enumerate(b):
+        b_ik = row[k]
+        if b_ik:  # never i == k: the diagonal is zero
+            abs_ik = abs(b_ik)
+            new_row = [x + (abs_ik * y + b_ik * abs(y)) // 2 for x, y in zip(row, row_k)]
+            new_row[k] = -b_ik
+            new_rows[i] = tuple(new_row)
+    new_rows[k] = tuple(-x for x in row_k)
     return ExchangeMatrix(tuple(new_rows))
 
 
@@ -523,19 +529,25 @@ class NumericSeed:
 
 
 def numeric_mutate(seed: NumericSeed, k: int, step: Optional[int] = None) -> NumericSeed:
-    """Replace value k by (pos product + neg product) / value k."""
+    """Replace value k by (pos product + neg product) / value k.
+
+    Each product starts from its first factor, a factor with |b| = 1 is
+    the value itself, and only an empty side is one().
+    """
     matrix = matrix_mutate(seed.matrix, k)
     params = seed.params
     if not any(seed.values[k]):
         raise MutationDivisionError(k, step)
-    pos = params.one()
-    neg = params.one()
-    for j, b in enumerate(seed.matrix.rows[k]):
-        if b > 0:
-            pos = fields.ext_mul(pos, fields.ext_pow(seed.values[j], b, params), params)
-        elif b < 0:
-            neg = fields.ext_mul(neg, fields.ext_pow(seed.values[j], -b, params), params)
-    total = fields.ext_add(pos, neg, params)
+    pos = neg = None
+    for value, b in zip(seed.values, seed.matrix.rows[k]):
+        if b:
+            factor = value if b in (1, -1) else fields.ext_pow(value, abs(b), params)
+            if b > 0:
+                pos = factor if pos is None else fields.ext_mul(pos, factor, params)
+            else:
+                neg = factor if neg is None else fields.ext_mul(neg, factor, params)
+    one = params.one()
+    total = fields.ext_add(one if pos is None else pos, one if neg is None else neg, params)
     new_value = fields.ext_mul(total, fields.ext_inv(seed.values[k], params), params)
     values = list(seed.values)
     values[k] = new_value

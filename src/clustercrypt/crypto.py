@@ -145,6 +145,7 @@ class SystemParams:
                 f"field size {self.field.q} below alphabet size "
                 f"{self.alphabet.size()}"
             )
+        self.initial_matrix()  # an orientation must direct every diagram edge
 
     def initial_matrix(self) -> ExchangeMatrix:
         return dynkin_exchange_matrix(self.diagram)

@@ -232,6 +232,10 @@ class FieldParams:
             raise InvalidPolynomialError("modulus must be monic")
         if not is_irreducible(self.f, self.p):
             raise InvalidPolynomialError("modulus is reducible over Z_p")
+        # x^(r+i) mod f for 0 <= i <= r-2: ext_mul folds the high half of a
+        # product with these rows instead of dividing by f
+        fold = (_pmod([0] * (self.r + i) + [1], self.f, self.p) for i in range(self.r - 1))
+        object.__setattr__(self, "_fold", tuple(map(tuple, fold)))
 
     @property
     def q(self) -> int:
@@ -271,43 +275,68 @@ def scalar_mul(c: int, a: Element, params: FieldParams) -> Element:
 
 
 def ext_mul(a: Element, b: Element, params: FieldParams) -> Element:
-    """Product in GF(p^r): schoolbook multiply, reduce mod f."""
+    """Product in GF(p^r): schoolbook multiply, fold the high half, reduce once."""
+    r = params.r
+    prod = [0] * (2 * r - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                prod[j] += ai * bj
+    low = prod[:r]
+    for c, row in zip(prod[r:], params._fold):
+        if c:
+            for j, fj in enumerate(row):
+                low[j] += c * fj
     p = params.p
-    prod = _pmul(list(a), list(b), p)
-    red = _pmod(prod, list(params.f), p)
-    red += [0] * (params.r - len(red))
-    return tuple(red)
+    return tuple([c % p for c in low])
 
 
 def ext_inv(a: Element, params: FieldParams) -> Element:
-    """Inverse via extended Euclid on polynomials mod f."""
+    """Inverse via extended Euclid on polynomials mod f.
+
+    Keeps t * a == rem (mod f) for the pairs (t, rem) and (new_t, new_rem),
+    dividing rem by new_rem in place, until new_rem is a nonzero constant:
+    f is irreducible, so gcd(a, f) is a unit.
+    """
     if not any(a):
         raise NonInvertibleError("zero element has no inverse")
     p = params.p
-    t, new_t = [], [1]
-    r, new_r = list(params.f), _trim(list(a))
-    while new_r:
-        q, rem = _pdivmod(r, new_r, p)
-        t, new_t = new_t, _psub(t, _pmul(q, new_t, p), p)
-        r, new_r = new_r, rem
-    # r is now gcd(a, f), a nonzero constant since f is irreducible
-    inv_c = fp_inv(r[0], p)
-    out = [c * inv_c % p for c in t]
-    out += [0] * (params.r - len(out))
+    t, new_t = [0], [1]
+    rem, new_rem = list(params.f), _trim(list(a))
+    while len(new_rem) > 1:
+        top = len(new_rem) - 1
+        inv_lead = pow(new_rem[top], -1, p)
+        low = new_rem[:top]
+        while len(rem) > top:
+            # rem -= c x^shift new_rem, dropping the cancelled leading term
+            c = rem.pop() * inv_lead % p
+            shift = len(rem) - top
+            for j, y in enumerate(low, shift):
+                rem[j] = (rem[j] - c * y) % p
+            while not rem[-1]:
+                rem.pop()
+            t += [0] * (shift + len(new_t) - len(t))
+            for j, y in enumerate(new_t, shift):
+                t[j] = (t[j] - c * y) % p
+        t, new_t = new_t, t
+        rem, new_rem = new_rem, rem
+    inv_c = pow(new_rem[0], -1, p)
+    out = [c * inv_c % p for c in new_t] + [0] * params.r
     return tuple(out[: params.r])
 
 
 def ext_pow(a: Element, e: int, params: FieldParams) -> Element:
+    """a^e by square and multiply, starting from the lowest set bit's power."""
     if e < 0:
         return ext_pow(ext_inv(a, params), -e, params)
-    result = params.one()
-    acc = a
+    result = None
     while e:
         if e & 1:
-            result = ext_mul(result, acc, params)
-        acc = ext_mul(acc, acc, params)
+            result = a if result is None else ext_mul(result, a, params)
         e >>= 1
-    return result
+        if e:
+            a = ext_mul(a, a, params)
+    return params.one() if result is None else result
 
 
 def element_to_int(a: Element, params: FieldParams) -> int:

@@ -88,6 +88,29 @@ class TestParams:
         assert code == 64
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "orientation, message",
+        [
+            ("0>1", "orientation must direct every edge exactly once"),
+            ("0>1,1>2,0>2", "(0,2) is not a diagram edge"),
+        ],
+    )
+    def test_orientation_that_is_not_a_diagram_orientation_is_usage_error(
+        self, tmp_path, capsys, orientation, message
+    ):
+        out = tmp_path / "p.json"
+        code = main(
+            [
+                "params",
+                "--p", "5", "--r", "3", "--f", "3,4,0,1",
+                "--family", "A", "--rank", "3", "--orientation", orientation,
+                "--out", str(out),
+            ]
+        )
+        assert code == 64
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
 
 class TestKeygen:
     def test_deterministic_with_seed(self, ex1_files, tmp_path):

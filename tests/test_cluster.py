@@ -216,6 +216,55 @@ class TestMatrixMutation:
             matrix = random_finite_matrix(rng)
             matrix_mutate(matrix, rng.randrange(matrix.n))
 
+    @staticmethod
+    def _dense_mutate(rows, k):
+        """The textbook rule on every entry: negate row and column k, and
+        b_ij + (|b_ik| b_kj + b_ik |b_kj|) / 2 elsewhere."""
+        n = len(rows)
+        return tuple(
+            tuple(
+                -rows[i][j]
+                if i == k or j == k
+                else rows[i][j]
+                + (abs(rows[i][k]) * rows[k][j] + rows[i][k] * abs(rows[k][j])) // 2
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+
+    @pytest.mark.parametrize(
+        "family, rank",
+        [("A", 6), ("B", 4), ("C", 4), ("D", 5), ("E", 6), ("E", 8), ("F", 4), ("G", 2)],
+    )
+    def test_matches_dense_rule_on_random_walks(self, family, rank):
+        rng = random.Random(f"{family}{rank}")
+        for _ in range(20):
+            matrix = dynkin_exchange_matrix(DynkinSpec(family, rank))
+            for _ in range(30):
+                k = rng.randrange(rank)
+                expected = self._dense_mutate(matrix.rows, k)
+                matrix = matrix_mutate(matrix, k)
+                assert matrix.rows == expected
+
+    def test_matches_dense_rule_on_markov(self):
+        matrix = ExchangeMatrix(MARKOV)
+        rng = random.Random(107)
+        for _ in range(100):
+            k = rng.randrange(3)
+            expected = self._dense_mutate(matrix.rows, k)
+            matrix = matrix_mutate(matrix, k)
+            assert matrix.rows == expected
+
+    def test_leaving_sign_skew_symmetry_raises(self):
+        # sign-skew-symmetric, not skew-symmetrizable: is_finite_type relies
+        # on this error to stop its walk
+        matrix = ExchangeMatrix(((0, 1, -1), (-1, 0, 1), (1, -2, 0)))
+        with pytest.raises(
+            InvalidMatrixError,
+            match=r"^entries \(1,2\)=0 and \(2,1\)=-1 violate sign-skew-symmetry$",
+        ):
+            matrix_mutate(matrix, 0)
+
 
 class TestQuiver:
     def test_pure_reversal(self):

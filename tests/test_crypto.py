@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from clustercrypt.cluster import DynkinSpec
+from clustercrypt.cluster import DynkinSpec, matrix_mutate
 from clustercrypt.crypto import (
     DEFAULT_ALPHABET,
     CiphertextSeed,
@@ -282,6 +282,43 @@ class TestEncrypt:
                 params, key, message, reference_path=True
             )
 
+    @pytest.mark.parametrize(
+        "family, rank, field",
+        [
+            ("B", 3, FieldParams(5, 3, (3, 4, 0, 1))),
+            ("C", 3, FieldParams(5, 3, (3, 4, 0, 1))),
+            ("G", 2, FieldParams(7, 2, (1, 0, 1))),
+        ],
+        ids=["B3-gf5^3", "C3-gf5^3", "G2-gf7^2"],
+    )
+    def test_reference_path_matches_fast_path_on_valued_diagrams(self, family, rank, field):
+        # exchange relations with |b| >= 2, which the A and D sweep never meets
+        params = SystemParams(field, DynkinSpec(family, rank), alphabet=None)
+        rng = random.Random(0xB3C3)
+        compared = failed = valued_steps = 0
+        for key_index in range(30):
+            key = keygen(key_index, params, 2 + key_index % 9)
+            matrix = params.initial_matrix()
+            for k in key.seq:
+                valued_steps += any(abs(b) >= 2 for b in matrix.rows[k])
+                matrix = matrix_mutate(matrix, k)
+            for _ in range(8):
+                message = int_to_element(rng.randrange(1, field.q), field)
+                try:
+                    fast = encrypt(params, key, message)
+                except EncryptionFailedError as exc:
+                    with pytest.raises(EncryptionFailedError) as mirrored:
+                        encrypt(params, key, message, reference_path=True)
+                    assert mirrored.value.step == exc.step
+                    failed += 1
+                    continue
+                reference = encrypt(params, key, message, reference_path=True)
+                assert serialize_ciphertext(params, fast) == serialize_ciphertext(
+                    params, reference
+                )
+                compared += 1
+        assert compared > 0 and failed > 0 and valued_steps > 0
+
 
 class TestDecrypt:
     def test_worked_example_1(self):
@@ -413,6 +450,16 @@ class TestWireFormat:
         payload = json.loads(serialize_params(EX1))
         payload["diagram"]["rank"] = rank
         with pytest.raises(ParseError):
+            deserialize_params(json.dumps(payload).encode())
+
+    def test_params_orientation_must_direct_every_edge(self):
+        payload = {
+            "diagram": {"family": "A", "orientation": [[0, 1]], "rank": 3},
+            "f": [3, 4, 0, 1], "p": 5, "r": 3,
+        }
+        with pytest.raises(
+            ParseError, match="^orientation must direct every edge exactly once$"
+        ):
             deserialize_params(json.dumps(payload).encode())
 
     @pytest.mark.parametrize(

@@ -207,6 +207,62 @@ class TestExtensionArithmetic:
             assert ext_pow(a, params.q, params) == a
 
 
+REFERENCE_FIELDS = [
+    GF32,
+    GF101_7,
+    FieldParams(p=7, r=2, f=(1, 0, 1)),
+    FieldParams(p=3, r=4, f=(2, 1, 0, 0, 1)),
+    FieldParams(p=13, r=1, f=(5, 1)),
+]
+REFERENCE_IDS = ["gf2^5", "gf101^7", "gf7^2", "gf3^4", "gf13"]
+
+
+def _reference_mul(a, b, params):
+    """Product by the dense polynomial helpers: multiply, then divide by f."""
+    p = params.p
+    prod = fields._pmod(fields._pmul(list(a), list(b), p), list(params.f), p)
+    return tuple(prod + [0] * (params.r - len(prod)))
+
+
+class TestAgainstPolynomialReference:
+    """ext_mul, ext_inv and ext_pow against the helpers behind is_irreducible.
+
+    The symbolic oracle evaluates through ext_mul, so only an independent
+    multiply can catch a wrong one.
+    """
+
+    @pytest.mark.parametrize("params", REFERENCE_FIELDS, ids=REFERENCE_IDS)
+    def test_mul_matches_reference(self, params):
+        rng = random.Random(37)
+        for _ in range(200):
+            a = fields.random_element(rng, params)
+            b = fields.random_element(rng, params)
+            assert ext_mul(a, b, params) == _reference_mul(a, b, params)
+
+    @pytest.mark.parametrize("params", REFERENCE_FIELDS, ids=REFERENCE_IDS)
+    def test_inverse_by_reference_product(self, params):
+        rng = random.Random(41)
+        for _ in range(100):
+            a = fields.random_element(rng, params, nonzero=True)
+            assert _reference_mul(a, ext_inv(a, params), params) == params.one()
+
+    @pytest.mark.parametrize("params", REFERENCE_FIELDS, ids=REFERENCE_IDS)
+    def test_pow_matches_repeated_multiplication(self, params):
+        rng = random.Random(43)
+        p, f = params.p, list(params.f)
+        for _ in range(30):
+            a = fields.random_element(rng, params, nonzero=True)
+            power = params.one()
+            for e in range(4):
+                assert ext_pow(a, e, params) == power
+                power = _reference_mul(power, a, params)
+            # a^(q-2) = a^-1: square and multiply by the dense helpers
+            inverse = fields._ppowmod(list(a), params.q - 2, f, p)
+            inverse = tuple(inverse + [0] * (params.r - len(inverse)))
+            assert ext_pow(a, params.q - 2, params) == inverse
+            assert ext_pow(a, -1, params) == inverse
+
+
 class TestIntegerCodec:
     def test_example_message(self):
         assert element_to_int((42, 82, 3, 0, 0, 0, 0), GF101_7) == 38927
