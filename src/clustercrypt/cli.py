@@ -123,9 +123,12 @@ def cmd_keygen(args) -> int:
 
 
 def _parse_message(text: str) -> list:
-    """Integer string -> [int]; letter string -> one symbol per letter."""
+    """ASCII integer string -> [int]; letter string -> one symbol per letter."""
     stripped = text.strip()
-    if stripped.lstrip("-").isdigit():
+    if not stripped:
+        raise ValueError("message is empty")
+    digits = stripped.lstrip("-")
+    if digits.isascii() and digits.isdigit():
         return [int(stripped)]
     return list(stripped)
 

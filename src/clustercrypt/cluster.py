@@ -525,16 +525,23 @@ class NumericSeed:
             raise RankMismatchError(
                 f"{len(self.values)} values for a rank-{self.matrix.n} matrix"
             )
-        object.__setattr__(self, "values", tuple(tuple(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(tuple, self.values)))
 
 
-def numeric_mutate(seed: NumericSeed, k: int, step: Optional[int] = None) -> NumericSeed:
+def numeric_mutate(
+    seed: NumericSeed,
+    k: int,
+    step: Optional[int] = None,
+    mutated_matrix: Optional[ExchangeMatrix] = None,
+) -> NumericSeed:
     """Replace value k by (pos product + neg product) / value k.
 
     Each product starts from its first factor, a factor with |b| = 1 is
-    the value itself, and only an empty side is one().
+    the value itself, and only an empty side is one(). A caller that
+    already holds matrix_mutate(seed.matrix, k), as the cipher's key
+    schedule does, passes it as mutated_matrix; it is not checked again.
     """
-    matrix = matrix_mutate(seed.matrix, k)
+    matrix = matrix_mutate(seed.matrix, k) if mutated_matrix is None else mutated_matrix
     params = seed.params
     if not any(seed.values[k]):
         raise MutationDivisionError(k, step)

@@ -7,6 +7,11 @@ ciphertext. Decryption applies the reversed sequence and reads position
 k0 back, checking that every other position returned to alpha^i and the
 matrix returned to the initial one.
 
+The matrices along the key's path depend only on the diagram and the
+key, so they are its schedule: validated and built once per key object,
+kept on that object, and reused for every record it encrypts or
+decrypts. Each cipher step then does only field work.
+
 The fast path mutates numerically in GF(p^r). The reference path mirrors
 the textbook presentation -- mutate symbolically, substitute the message
 into x_k0, evaluate at x_i = alpha^i -- and is kept behind a flag as the
@@ -27,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from random import Random
 from typing import Optional, Union
 
@@ -36,6 +42,7 @@ from .cluster import (
     ExchangeMatrix,
     NumericSeed,
     dynkin_exchange_matrix,
+    matrix_mutate,
     numeric_mutate,
 )
 from .errors import (
@@ -277,6 +284,25 @@ def keygen(rng_seed: int, params: SystemParams, t: int) -> SecretKey:
     raise InfeasibleKeyError(f"no valid key of length {t} found for rank {r}")
 
 
+def _schedule(params: SystemParams, key: SecretKey) -> tuple[ExchangeMatrix, ...]:
+    """M_0..M_t: the initial matrix, then its image after each key step.
+
+    The key is validated and the matrices built once per key object and
+    diagram; the result is kept on the key, as FieldParams keeps its
+    packed rows, so it lives exactly as long as the key does.
+    """
+    initial = params.initial_matrix()
+    schedule = getattr(key, "_schedule", None)
+    if schedule is not None and schedule[0] == initial:
+        return schedule
+    violations = validate_key(key, initial)
+    if violations:
+        raise InvalidKeyError(violations)
+    schedule = tuple(accumulate(key.seq, matrix_mutate, initial=initial))
+    object.__setattr__(key, "_schedule", schedule)
+    return schedule
+
+
 # --- encryption / decryption ---------------------------------------------------
 
 
@@ -296,9 +322,7 @@ def encrypt(
     whose result is zero raises EncryptionFailedError: such a seed can
     never be decrypted, so the caller should re-key.
     """
-    violations = validate_key(key, params.initial_matrix())
-    if violations:
-        raise InvalidKeyError(violations)
+    schedule = _schedule(params, key)
     field = params.field
     if len(message) != field.r or any(
         not 0 <= require_int(d, "digit") < field.p for d in message
@@ -313,7 +337,7 @@ def encrypt(
         return _encrypt_reference(params, key, message)
     seed = _initial_numeric_seed(params, key, message)
     for step, k in enumerate(key.seq, start=1):
-        seed = numeric_mutate(seed, k, step=step)
+        seed = numeric_mutate(seed, k, step=step, mutated_matrix=schedule[step])
         if not any(seed.values[k]):
             raise EncryptionFailedError(step, "mutation produced the zero value")
     return CiphertextSeed(seed.values, seed.matrix)
@@ -365,18 +389,20 @@ def decrypt(params: SystemParams, key: SecretKey, ct: CiphertextSeed) -> Element
 
     Every other position must have returned to alpha^i and the matrix to
     the initial one; anything else means a corrupt seed or a wrong key.
+    The reversed schedule serves a record whose matrix is the key's final
+    one; any other matrix is mutated step by step, so a tampered record
+    fails at the step, and with the message, of that plain walk.
     """
-    violations = validate_key(key, params.initial_matrix())
-    if violations:
-        raise InvalidKeyError(violations)
+    schedule = _schedule(params, key)
     if len(ct.values) != params.field.r:
         raise CorruptOrWrongKeyError(
             f"ciphertext rank {len(ct.values)} != field degree {params.field.r}"
         )
+    matrices = schedule[-2::-1] if ct.matrix == schedule[-1] else [None] * len(key.seq)
     seed = NumericSeed(ct.values, ct.matrix, params.field)
-    for step, k in enumerate(reversed(key.seq), start=1):
+    for step, (k, matrix) in enumerate(zip(reversed(key.seq), matrices), start=1):
         try:
-            seed = numeric_mutate(seed, k, step=step)
+            seed = numeric_mutate(seed, k, step=step, mutated_matrix=matrix)
         except MutationDivisionError as exc:
             raise DecryptionFailedError(step) from exc
     point = _alpha_point(params)

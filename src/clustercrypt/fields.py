@@ -6,13 +6,21 @@ modulus f. Every coordinate is kept reduced mod p at all times. The
 canonical integer of an element is sum(a_i * p^i); Python integers are
 arbitrary precision, so p^r far beyond machine words is fine.
 
+A product is one integer multiply: ext_mul packs each operand's digits
+into fixed-width slots of one int, wide enough that no slot carries into
+the next, folds the high slots with packed rows x^(r+i) mod f and reduces
+each low slot mod p. Digit tuples stay the interface and the wire form.
+
 Integers are checked where values are built, not where files are read:
 `require_int` admits only int (no bool, float or str) and raises
 TypeError, and FieldParams (p, r, each coefficient of f) and
 int_to_element call it, so nothing is truncated on any path.
 
-Tested ranges are p <= 101 and r <= 8; nothing here assumes those bounds,
-but the irreducibility trial division documents an O(p^(r/2)) cost.
+FieldParams accepts p <= MAX_P and r <= MAX_R, checked before the
+modulus is tested. p then stays where is_prime's Miller-Rabin bases are
+deterministic, the irreducibility test of the worst accepted modulus
+takes well under a second, and a packed slot is at most 58 bits wide.
+Tested ranges are p <= 101 and r <= 8.
 """
 
 from __future__ import annotations
@@ -28,9 +36,14 @@ from .errors import (
 
 Element = tuple[int, ...]
 
-# Miller-Rabin with these bases is deterministic below 3.3 * 10^24,
-# far beyond any modulus this package meets.
+# Miller-Rabin with these bases is deterministic below 3.18 * 10^23
+# (Sorenson and Webster 2015), far above MAX_P.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The largest field FieldParams accepts: p <= MAX_P (the largest prime
+# below 2^16) and r <= MAX_R.
+MAX_P = 65521
+MAX_R = 32
 
 
 def require_int(value, what: str) -> int:
@@ -218,24 +231,35 @@ class FieldParams:
     f: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(require_int(self.p, "p")):
-            raise InvalidPolynomialError(f"p={self.p} is not prime")
-        if require_int(self.r, "r") < 1:
-            raise InvalidPolynomialError(f"r={self.r} must be >= 1")
-        f = tuple(require_int(c, "modulus coefficient") % self.p for c in self.f)
-        object.__setattr__(self, "f", f)
-        if len(self.f) != self.r + 1:
+        p, r = require_int(self.p, "p"), require_int(self.r, "r")
+        if p > MAX_P or r > MAX_R:
             raise InvalidPolynomialError(
-                f"modulus needs {self.r + 1} coefficients, got {len(self.f)}"
+                f"GF({p}^{r}) is outside the supported p <= {MAX_P}, r <= {MAX_R}"
             )
-        if self.f[-1] != 1:
+        if not is_prime(p):
+            raise InvalidPolynomialError(f"p={p} is not prime")
+        if r < 1:
+            raise InvalidPolynomialError(f"r={r} must be >= 1")
+        f = tuple(require_int(c, "modulus coefficient") % p for c in self.f)
+        object.__setattr__(self, "f", f)
+        if len(f) != r + 1:
+            raise InvalidPolynomialError(f"modulus needs {r + 1} coefficients, got {len(f)}")
+        if f[-1] != 1:
             raise InvalidPolynomialError("modulus must be monic")
-        if not is_irreducible(self.f, self.p):
+        if not is_irreducible(f, p):
             raise InvalidPolynomialError("modulus is reducible over Z_p")
-        # x^(r+i) mod f for 0 <= i <= r-2: ext_mul folds the high half of a
-        # product with these rows instead of dividing by f
-        fold = (_pmod([0] * (self.r + i) + [1], self.f, self.p) for i in range(self.r - 1))
-        object.__setattr__(self, "_fold", tuple(map(tuple, fold)))
+        # ext_mul packs digit i into bits [i w, (i + 1) w). A product slot
+        # sums at most r digit products and the fold adds at most r - 1 of
+        # those times a digit, so this bound keeps every slot from carrying.
+        width = (r * (p - 1) ** 2 * (1 + (r - 1) * (p - 1))).bit_length()
+        shifts = tuple(range(0, r * width, width))
+        # x^(r+i) mod f for 0 <= i <= r-2, packed: the high slots of a
+        # product fold onto the low ones with these rows
+        rows = tuple(
+            sum(c << s for c, s in zip(_pmod([0] * (r + i) + [1], f, p), shifts))
+            for i in range(r - 1)
+        )
+        object.__setattr__(self, "_packing", (width, (1 << width) - 1, shifts, rows))
 
     @property
     def q(self) -> int:
@@ -265,7 +289,7 @@ class FieldParams:
 
 def ext_add(a: Element, b: Element, params: FieldParams) -> Element:
     p = params.p
-    return tuple((x + y) % p for x, y in zip(a, b))
+    return tuple([(x + y) % p for x, y in zip(a, b)])
 
 
 def scalar_mul(c: int, a: Element, params: FieldParams) -> Element:
@@ -275,20 +299,22 @@ def scalar_mul(c: int, a: Element, params: FieldParams) -> Element:
 
 
 def ext_mul(a: Element, b: Element, params: FieldParams) -> Element:
-    """Product in GF(p^r): schoolbook multiply, fold the high half, reduce once."""
-    r = params.r
-    prod = [0] * (2 * r - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                prod[j] += ai * bj
-    low = prod[:r]
-    for c, row in zip(prod[r:], params._fold):
-        if c:
-            for j, fj in enumerate(row):
-                low[j] += c * fj
+    """Product in GF(p^r): one multiply of the packed operands, fold, reduce."""
+    width, mask, shifts, rows = params._packing
+    x = y = 0
+    for c in reversed(a):
+        x = x << width | c
+    for c in reversed(b):
+        y = y << width | c
+    prod = x * y
+    # prod keeps its high slots: the fold adds below slot r without a carry
+    # into it, and only the slots below r are read back
+    high = prod >> params.r * width
+    for row in rows:
+        prod += (high & mask) * row
+        high >>= width
     p = params.p
-    return tuple([c % p for c in low])
+    return tuple([(prod >> s & mask) % p for s in shifts])
 
 
 def ext_inv(a: Element, params: FieldParams) -> Element:

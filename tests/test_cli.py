@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
-from clustercrypt import cli, fields
+from clustercrypt import cli, cluster, crypto, fields
 from clustercrypt.analysis import enumerate_exchange_graph
 from clustercrypt.cli import main
 from clustercrypt.cluster import DynkinSpec, Quiver, dynkin_exchange_matrix
@@ -139,6 +140,22 @@ class TestKeygen:
         assert main(argv) == 64
         assert capsys.readouterr().err == "error: bad JSON: nested too deeply\n"
 
+    def test_oversized_field_header_is_rejected_quickly(self, tmp_path, capsys):
+        # GF(2^1500): the irreducibility test alone once ran for over 10 s
+        params = tmp_path / "big.json"
+        header = {
+            "p": 2, "r": 1500, "f": [1, 1] + [0] * 1498 + [1],
+            "diagram": {"family": "A", "rank": 1500},
+        }
+        params.write_text(json.dumps(header))
+        out = tmp_path / "k.json"
+        start = time.perf_counter()
+        code = main(["keygen", "--params", str(params), "--length", "4", "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 64
+        assert not out.exists()
+        assert "outside the supported p <= 65521, r <= 32" in capsys.readouterr().err
+
     def test_echoes_generated_seed(self, ex1_files, tmp_path, capsys):
         params, _ = ex1_files
         code = main(
@@ -228,6 +245,27 @@ class TestEncryptDecrypt:
                 == 0
             )
         assert fast.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize(
+        "message,error",
+        [
+            ("", "error: message is empty\n"),
+            ("  ", "error: message is empty\n"),
+            # Arabic-Indic twelve: int() reads it, the message parser does not
+            ("\u0661\u0662", "error: '\u0661' is not in the alphabet\n"),
+        ],
+        ids=["empty", "blank", "non-ascii-digits"],
+    )
+    def test_message_without_records_is_usage_error(
+        self, ex1_files, tmp_path, capsys, message, error
+    ):
+        params, key = ex1_files
+        out = tmp_path / "ct.json"
+        files = ["--params", str(params), "--key", str(key)]
+        capsys.readouterr()
+        assert main(["encrypt", *files, "--message", message, "--out", str(out)]) == 64
+        assert capsys.readouterr() == ("", error)
+        assert not out.exists()
 
     def test_zero_message_exits_2_without_output(self, ex1_files, tmp_path):
         params, key = ex1_files
@@ -359,6 +397,56 @@ class TestEncryptDecrypt:
         captured = capsys.readouterr()
         assert captured.err.startswith(message)
         assert captured.out == ""
+
+    def test_key_schedule_is_built_once_per_command(
+        self, ex1_files, tmp_path, monkeypatch
+    ):
+        # M_1..M_t depend on the key alone: each command mutates the matrix
+        # once per key step, however many records it handles
+        params, key = ex1_files
+        calls = []
+        for module in (crypto, cluster):
+
+            def counting(matrix, k, _original=module.matrix_mutate):
+                calls.append(k)
+                return _original(matrix, k)
+
+            monkeypatch.setattr(module, "matrix_mutate", counting)
+        out = tmp_path / "ct.json"
+        files = ["--params", str(params), "--key", str(key)]
+        assert main(["encrypt", *files, "--message", "HELLO", "--out", str(out)]) == 0
+        assert calls == [1, 4, 0, 3, 1]
+        calls.clear()
+        assert main(["decrypt", *files, "--ciphertext", str(out)]) == 0
+        assert calls == [1, 4, 0, 3, 1]
+
+    @pytest.mark.parametrize(
+        "zeroed,message",
+        [
+            (None, "error: integrity position 1 did not return to its base value\n"),
+            (3, "error: decryption failed at step 2\n"),
+        ],
+        ids=["values-kept", "value-3-zeroed"],
+    )
+    def test_record_with_another_matrix_fails_as_before(
+        self, ex1_files, tmp_path, capsys, zeroed, message
+    ):
+        # the last record carries the initial matrix in place of the key's
+        # final one, so it is decrypted step by step, without the schedule;
+        # the exit code and stderr are those of that walk, byte for byte
+        params, key = ex1_files
+        out = tmp_path / "ct.json"
+        files = ["--params", str(params), "--key", str(key)]
+        assert main(["encrypt", *files, "--message", "HELP", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        payload = json.loads(lines[-1])
+        payload["matrix"] = dynkin_exchange_matrix(DynkinSpec("A", 5)).to_lists()
+        if zeroed is not None:
+            payload["values"][zeroed] = [0] * 5
+        out.write_text("\n".join(lines[:-1] + [json.dumps(payload)]) + "\n")
+        capsys.readouterr()
+        assert main(["decrypt", *files, "--ciphertext", str(out)]) == 3
+        assert capsys.readouterr() == ("", message)
 
     @pytest.mark.parametrize(
         "tamper,message",

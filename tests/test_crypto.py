@@ -257,6 +257,19 @@ class TestEncrypt:
             encrypt(EX1, SecretKey(2, (1, 3, 1)), encode_message("F", EX1))
         assert err.value.violations[0].code == "hide-position-missing"
 
+    def test_one_key_object_follows_each_diagram(self):
+        # the schedule kept on a key is rebuilt for another orientation:
+        # -B gives the same values, so only the matrix tells them apart
+        flipped = SystemParams(
+            EX1.field, DynkinSpec("A", 5, ((1, 0), (1, 2), (3, 2), (3, 4)))
+        )
+        key = SecretKey(EX1_KEY.k0, EX1_KEY.seq)
+        for params in (EX1, flipped, EX1):
+            message = encode_message("F", params)
+            ct = encrypt(params, key, message)
+            assert ct == encrypt(params, SecretKey(EX1_KEY.k0, EX1_KEY.seq), message)
+            assert decrypt(params, key, ct) == message
+
     def test_zero_chain_value_fails_with_step(self):
         # m = 9 = 1 + alpha^3: step 1 computes (1 + m*alpha^2)/alpha with
         # m*alpha^2 = alpha^2 + alpha^5 = 1, so the binomial vanishes

@@ -141,6 +141,16 @@ class TestFieldParams:
         with pytest.raises(TypeError, match="must be an integer"):
             FieldParams(p, r, f)
 
+    @pytest.mark.parametrize(
+        "p,r", [(fields.MAX_P + 2, 2), (2, fields.MAX_R + 1)], ids=["p", "r"]
+    )
+    def test_limits_are_checked_before_the_modulus(self, monkeypatch, p, r):
+        calls = []
+        monkeypatch.setattr(fields, "is_irreducible", lambda *args: calls.append(args))
+        with pytest.raises(InvalidPolynomialError, match="outside the supported"):
+            FieldParams(p, r, (1,) * (r + 1))
+        assert calls == []
+
 
 class TestExtensionArithmetic:
     def test_alpha5_reduction(self):
@@ -213,8 +223,9 @@ REFERENCE_FIELDS = [
     FieldParams(p=7, r=2, f=(1, 0, 1)),
     FieldParams(p=3, r=4, f=(2, 1, 0, 0, 1)),
     FieldParams(p=13, r=1, f=(5, 1)),
+    FieldParams(p=fields.MAX_P, r=3, f=(3, 1, 0, 1)),  # the widest slots
 ]
-REFERENCE_IDS = ["gf2^5", "gf101^7", "gf7^2", "gf3^4", "gf13"]
+REFERENCE_IDS = ["gf2^5", "gf101^7", "gf7^2", "gf3^4", "gf13", "gf65521^3"]
 
 
 def _reference_mul(a, b, params):
@@ -237,6 +248,16 @@ class TestAgainstPolynomialReference:
         for _ in range(200):
             a = fields.random_element(rng, params)
             b = fields.random_element(rng, params)
+            assert ext_mul(a, b, params) == _reference_mul(a, b, params)
+
+    @pytest.mark.parametrize("params", REFERENCE_FIELDS, ids=REFERENCE_IDS)
+    def test_mul_at_the_largest_slot_sums(self, params):
+        # every digit p - 1 fills each product slot to its bound, and
+        # alpha^(r-1) squared lands in the top slot: a carry between
+        # packed slots shows here first
+        full = (params.p - 1,) * params.r
+        top = params.alpha_power(params.r - 1)
+        for a, b in ((full, full), (top, top), (full, top)):
             assert ext_mul(a, b, params) == _reference_mul(a, b, params)
 
     @pytest.mark.parametrize("params", REFERENCE_FIELDS, ids=REFERENCE_IDS)
