@@ -15,7 +15,6 @@ from clustercrypt import (
     DynkinSpec,
     FieldParams,
     NumericSeed,
-    Quiver,
     apply_sequence,
     apply_symbolic_sequence,
     dynkin_exchange_matrix,
@@ -27,7 +26,7 @@ from clustercrypt import (
 spec = DynkinSpec("A", 5)
 matrix = dynkin_exchange_matrix(spec)
 print("A_5 quiver (default orientation: x0 -> x1 <- x2 -> x3 <- x4):")
-print(Quiver.from_matrix(matrix).to_dot())
+print(matrix.to_dot())
 print("\nexchange matrix:")
 for row in matrix.rows:
     print("  ", row)

@@ -29,15 +29,12 @@ from .cluster import (
     ExchangeMatrix,
     FiniteTypeResult,
     NumericSeed,
-    Quiver,
     apply_sequence,
     cartan_counterpart,
     dynkin_exchange_matrix,
     is_finite_type,
     matrix_mutate,
     numeric_mutate,
-    quiver_mutate,
-    seeds_equivalent,
     standard_cartan,
 )
 from .crypto import (
@@ -99,7 +96,6 @@ __all__ = [
     "FiniteTypeResult",
     "NumericSeed",
     "Polynomial",
-    "Quiver",
     "RationalFunction",
     "RootSystem",
     "SecretKey",
@@ -142,9 +138,7 @@ __all__ = [
     "path_count",
     "probability_closed_form",
     "probability_report",
-    "quiver_mutate",
     "rf_mutate",
-    "seeds_equivalent",
     "serialize_ciphertext",
     "serialize_key",
     "serialize_params",

@@ -27,10 +27,10 @@ from .cluster import (
     FAMILIES,
     DynkinSpec,
     NumericSeed,
-    Quiver,
     apply_sequence,
     dynkin_exchange_matrix,
     matrix_mutate,
+    standard_cartan,
 )
 from .crypto import (
     SystemParams,
@@ -58,7 +58,6 @@ from .errors import (
 from .fields import FieldParams, element_to_int, int_to_element
 from .known_answers import WORKED_EXAMPLES, WorkedExample
 from .roots import check_root_axioms, generate_root_system
-from .cluster import standard_cartan
 
 EX_OK = 0
 EX_SELFTEST = 1
@@ -114,7 +113,7 @@ def cmd_keygen(args) -> int:
     params = deserialize_params(_read_file(args.params))
     rng_seed = args.rng_seed
     if rng_seed is None:
-        rng_seed = secrets.randbits(32)
+        rng_seed = secrets.randbits(128)
         print(f"rng-seed: {rng_seed} (recorded; pass --rng-seed to reproduce)")
     key = keygen(rng_seed, params, args.length)
     _write_file(args.out, serialize_key(key))
@@ -184,7 +183,7 @@ def cmd_graph(args) -> int:
         spec = DynkinSpec(args.family, args.rank, _parse_orientation(args.orientation))
     matrix = dynkin_exchange_matrix(spec)
     # a valued diagram has no quiver: fail before the enumeration, not after
-    dot = Quiver.from_matrix(matrix).to_dot() if args.dot else None
+    dot = matrix.to_dot() if args.dot else None
     graph = enumerate_exchange_graph(matrix, budget=args.budget)
     if args.dot:
         _write_file(args.dot, dot.encode() + b"\n")

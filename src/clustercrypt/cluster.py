@@ -1,4 +1,4 @@
-"""Exchange matrices, quivers, Dynkin constructors, and seed mutation.
+"""Exchange matrices and their quiver DOT text, Dynkin constructors, seed mutation.
 
 The mutation at vertex k replaces value k by
 
@@ -63,13 +63,6 @@ class ExchangeMatrix:
     def n(self) -> int:
         return len(self.rows)
 
-    def is_skew_symmetric(self) -> bool:
-        return all(
-            self.rows[i][j] == -self.rows[j][i]
-            for i in range(self.n)
-            for j in range(self.n)
-        )
-
     def permuted(self, perm: Sequence[int]) -> "ExchangeMatrix":
         """Matrix of the relabelled seed: entry (i,j) -> (perm[i], perm[j])."""
         return ExchangeMatrix(
@@ -82,9 +75,20 @@ class ExchangeMatrix:
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
 
-    @classmethod
-    def from_lists(cls, rows) -> "ExchangeMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+    def to_dot(self) -> str:
+        """Graphviz text of the quiver: an arrow i -> j of multiplicity b_ij > 0."""
+        rows = self.rows
+        if any(rows[i][j] != -rows[j][i] for i in range(self.n) for j in range(i)):
+            raise InvalidMatrixError("only skew-symmetric matrices correspond to quivers")
+        lines = ["digraph quiver {"]
+        lines += [f"  x{v};" for v in range(self.n)]
+        for i, row in enumerate(rows):
+            for j, m in enumerate(row):
+                if m > 0:
+                    label = f' [label="{m}"]' if m > 1 else ""
+                    lines.append(f"  x{i} -> x{j}{label};")
+        lines.append("}")
+        return "\n".join(lines)
 
 
 def matrix_mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
@@ -117,96 +121,6 @@ def cartan_counterpart(matrix: ExchangeMatrix | Rows) -> Rows:
     return tuple(
         tuple(2 if i == j else -abs(rows[i][j]) for j in range(n)) for i in range(n)
     )
-
-
-# --- quivers --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Quiver:
-    """Directed multigraph of a skew-symmetric exchange matrix.
-
-    arrows maps (i, j) -> multiplicity, with i -> j. No loops, no 2-cycles.
-    """
-
-    n: int
-    arrows: tuple[tuple[tuple[int, int], int], ...]
-
-    def __post_init__(self):
-        seen = {}
-        for (i, j), m in self.arrows:
-            if i == j:
-                raise InvalidMatrixError("quiver may not contain loops")
-            if m <= 0:
-                raise InvalidMatrixError("arrow multiplicities must be positive")
-            if (j, i) in seen:
-                raise InvalidMatrixError("quiver may not contain 2-cycles")
-            seen[(i, j)] = m
-        object.__setattr__(self, "arrows", tuple(sorted(seen.items())))
-
-    @classmethod
-    def from_matrix(cls, matrix: ExchangeMatrix) -> "Quiver":
-        if not matrix.is_skew_symmetric():
-            raise InvalidMatrixError(
-                "only skew-symmetric matrices correspond to quivers"
-            )
-        arrows = []
-        for i in range(matrix.n):
-            for j in range(matrix.n):
-                if matrix.rows[i][j] > 0:
-                    arrows.append(((i, j), matrix.rows[i][j]))
-        return cls(matrix.n, tuple(arrows))
-
-    def to_matrix(self) -> ExchangeMatrix:
-        rows = [[0] * self.n for _ in range(self.n)]
-        for (i, j), m in self.arrows:
-            rows[i][j] = m
-            rows[j][i] = -m
-        return ExchangeMatrix.from_lists(rows)
-
-    def to_dot(self, name: str = "quiver") -> str:
-        lines = [f"digraph {name} {{"]
-        for v in range(self.n):
-            lines.append(f"  x{v};")
-        for (i, j), m in self.arrows:
-            label = f' [label="{m}"]' if m > 1 else ""
-            lines.append(f"  x{i} -> x{j}{label};")
-        lines.append("}")
-        return "\n".join(lines)
-
-
-def quiver_mutate(quiver: Quiver, k: int) -> Quiver:
-    """Three-step quiver mutation at k.
-
-    1. For every path i -> k -> j add multiplicity(i,k)*multiplicity(k,j)
-       arrows i -> j.
-    2. Cancel a maximal set of resulting 2-cycles.
-    3. Reverse all arrows incident with k.
-    """
-    if not 0 <= k < quiver.n:
-        raise InvalidVertexError(f"vertex {k} outside [0, {quiver.n})")
-    counts: dict[tuple[int, int], int] = dict(quiver.arrows)
-    into_k = {i: m for (i, j), m in counts.items() if j == k}
-    out_of_k = {j: m for (i, j), m in counts.items() if i == k}
-    for i, a in into_k.items():
-        for j, b in out_of_k.items():
-            counts[(i, j)] = counts.get((i, j), 0) + a * b
-    # cancel 2-cycles
-    for (i, j) in list(counts):
-        if i < j and (j, i) in counts:
-            m = min(counts[(i, j)], counts[(j, i)])
-            counts[(i, j)] -= m
-            counts[(j, i)] -= m
-    # reverse at k
-    reversed_counts: dict[tuple[int, int], int] = {}
-    for (i, j), m in counts.items():
-        if m == 0:
-            continue
-        if i == k or j == k:
-            reversed_counts[(j, i)] = reversed_counts.get((j, i), 0) + m
-        else:
-            reversed_counts[(i, j)] = reversed_counts.get((i, j), 0) + m
-    return Quiver(quiver.n, tuple(reversed_counts.items()))
 
 
 # --- breadth-first closure ----------------------------------------------------
@@ -376,7 +290,7 @@ def dynkin_exchange_matrix(spec: DynkinSpec) -> ExchangeMatrix:
             rows[i][j], rows[j][i] = wij, -wji
         else:
             rows[i][j], rows[j][i] = -wij, wji
-    return ExchangeMatrix.from_lists(rows)
+    return ExchangeMatrix(rows)
 
 
 @lru_cache(maxsize=None)
@@ -566,40 +480,3 @@ def apply_sequence(seed: NumericSeed, ks: Sequence[int]) -> NumericSeed:
     for step, k in enumerate(ks, start=1):
         seed = numeric_mutate(seed, k, step=step)
     return seed
-
-
-def seeds_equivalent(s1, s2) -> Optional[tuple[int, ...]]:
-    """Permutation pi with s2.values[i] = s1.values[pi(i)] and
-    s2.matrix[i][j] = s1.matrix[pi(i)][pi(j)], or None.
-
-    Works for numeric and symbolic seeds (anything with values/entries
-    plus a matrix).
-    """
-    v1, m1 = _seed_parts(s1)
-    v2, m2 = _seed_parts(s2)
-    n = len(v1)
-    if n != len(v2):
-        raise RankMismatchError(f"rank {n} vs rank {len(v2)}")
-    candidates_per_slot = []
-    for i in range(n):
-        slots = tuple(j for j in range(n) if v1[j] == v2[i])
-        if not slots:
-            return None
-        candidates_per_slot.append(slots)
-    for pi in itertools.product(*candidates_per_slot):
-        if len(set(pi)) != n:
-            continue
-        if all(
-            m2.rows[i][j] == m1.rows[pi[i]][pi[j]]
-            for i in range(n)
-            for j in range(n)
-        ):
-            return tuple(pi)
-    return None
-
-
-def _seed_parts(seed):
-    values = getattr(seed, "values", None)
-    if values is None:
-        values = seed.entries
-    return values, seed.matrix

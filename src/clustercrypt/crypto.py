@@ -153,6 +153,8 @@ class SystemParams:
                 f"{self.alphabet.size()}"
             )
         self.initial_matrix()  # an orientation must direct every diagram edge
+        # the params file, and the header every ciphertext record must repeat
+        object.__setattr__(self, "_header", _canonical_bytes(self.to_dict()))
 
     def initial_matrix(self) -> ExchangeMatrix:
         return dynkin_exchange_matrix(self.diagram)
@@ -464,10 +466,10 @@ def _ciphertext_from_dict(params: SystemParams, payload: dict) -> CiphertextSeed
         raise ParseError(f"missing fields {sorted(missing)}")
     # bytes, not dicts: 2.0 == 2 and True == 1 in Python
     header = {name: payload[name] for name in ("p", "r", "f", "diagram")}
-    if _canonical_bytes(header) != _canonical_bytes(params.to_dict()):
+    if _canonical_bytes(header) != params._header:
         SystemParams.from_dict(header)  # a malformed header names its own fault
         raise ParseError("ciphertext params do not match --params")
-    ct = CiphertextSeed(payload["values"], ExchangeMatrix.from_lists(payload["matrix"]))
+    ct = CiphertextSeed(payload["values"], ExchangeMatrix(payload["matrix"]))
     if ct.matrix.n != params.field.r:
         raise ParseError(f"ciphertext rank {ct.matrix.n} != field degree {params.field.r}")
     if any(len(v) != params.field.r for v in ct.values):
@@ -497,7 +499,7 @@ def deserialize_key(data: bytes) -> SecretKey:
 
 
 def serialize_params(params: SystemParams) -> bytes:
-    return _canonical_bytes(params.to_dict())
+    return params._header
 
 
 def deserialize_params(data: bytes) -> SystemParams:

@@ -3,8 +3,8 @@
 Roots are integer coordinate vectors in the simple-root basis. The
 system is generated by closing the simple roots under the simple
 reflections s_i(beta) = beta - <beta, alpha_i> alpha_i, where
-<alpha_j, alpha_i> is the (j,i) Cartan entry. Pairings between
-arbitrary roots use the symmetrized Gram matrix, exactly (Fractions).
+<alpha_j, alpha_i> is the (j,i) Cartan entry. check_root_axioms pairs
+arbitrary roots through the symmetrized Gram matrix, rescaled to integers.
 """
 
 from __future__ import annotations
@@ -84,26 +84,6 @@ class RootSystem:
         return self.positive + tuple(
             tuple(-x for x in alpha) for alpha in self.simple
         )
-
-    def inner(self, beta: Root, gamma: Root) -> Fraction:
-        total = Fraction(0)
-        for i, b in enumerate(beta):
-            if b:
-                for j, g in enumerate(gamma):
-                    if g:
-                        total += b * g * self.gram[i][j]
-        return total
-
-    def pairing(self, beta: Root, alpha: Root) -> Fraction:
-        """<beta, alpha> = 2 (beta, alpha) / (alpha, alpha)."""
-        return 2 * self.inner(beta, alpha) / self.inner(alpha, alpha)
-
-    def reflect(self, beta: Root, alpha: Root) -> Root:
-        coefficient = self.pairing(beta, alpha)
-        if coefficient.denominator != 1:
-            raise InvalidMatrixError("non-integral reflection coefficient")
-        c = int(coefficient)
-        return tuple(b - c * a for b, a in zip(beta, alpha))
 
 
 def generate_root_system(cartan: Cartan, bound: int = 10_000) -> RootSystem:

@@ -9,7 +9,7 @@ import pytest
 from clustercrypt import cli, cluster, crypto, fields
 from clustercrypt.analysis import enumerate_exchange_graph
 from clustercrypt.cli import main
-from clustercrypt.cluster import DynkinSpec, Quiver, dynkin_exchange_matrix
+from clustercrypt.cluster import DynkinSpec, dynkin_exchange_matrix
 
 
 @pytest.fixture
@@ -168,6 +168,23 @@ class TestKeygen:
         )
         assert code == 0
         assert "rng-seed:" in capsys.readouterr().out
+
+    def test_generated_seed_has_128_bits(self, ex1_files, tmp_path, capsys, monkeypatch):
+        widths = []
+
+        def randbits(k):
+            widths.append(k)
+            return (1 << k) - 1
+
+        monkeypatch.setattr(cli.secrets, "randbits", randbits)
+        drawn, given = tmp_path / "k1.json", tmp_path / "k2.json"
+        argv = ["keygen", "--params", str(ex1_files[0]), "--length", "4", "--out"]
+        assert main([*argv, str(drawn)]) == 0
+        assert widths == [128]
+        seed = str((1 << 128) - 1)
+        assert f"rng-seed: {seed} (recorded" in capsys.readouterr().out
+        assert main([*argv, str(given), "--rng-seed", seed]) == 0
+        assert drawn.read_bytes() == given.read_bytes()
 
 
 class TestEncryptDecrypt:
@@ -367,6 +384,25 @@ class TestEncryptDecrypt:
         monkeypatch.setattr(fields, "is_irreducible", counting)
         assert main(["decrypt", *files, "--ciphertext", str(out)]) == 0
         assert len(calls) == 1
+
+    def test_decrypt_builds_the_params_header_once(
+        self, ex1_files, tmp_path, capsys, monkeypatch
+    ):
+        # the header bytes are built with the params, not once per record
+        params, key = ex1_files
+        out = tmp_path / "ct.json"
+        files = ["--params", str(params), "--key", str(key)]
+        assert main(["encrypt", *files, "--message", "HELLO", "--out", str(out)]) == 0
+        calls = []
+        original = crypto.SystemParams.to_dict
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(crypto.SystemParams, "to_dict", counting)
+        assert main(["decrypt", *files, "--ciphertext", str(out)]) == 0
+        assert len(calls) <= 1
 
     @pytest.mark.parametrize(
         "tamper,code,message",
@@ -614,8 +650,24 @@ class TestGraphProbe:
         plain = capsys.readouterr().out
         assert main(["graph", "--family", "A", "--rank", "3", "--dot", str(dot)]) == 0
         assert capsys.readouterr().out == f"wrote {dot}\n" + plain
-        matrix = dynkin_exchange_matrix(DynkinSpec("A", 3))
-        assert dot.read_text() == Quiver.from_matrix(matrix).to_dot() + "\n"
+        assert dot.read_bytes() == (
+            b"digraph quiver {\n  x0;\n  x1;\n  x2;\n  x0 -> x1;\n  x2 -> x1;\n}\n"
+        )
+
+    # sha256 of the written file, pinned before the quiver type was folded
+    # into ExchangeMatrix.to_dot
+    @pytest.mark.parametrize(
+        "family,rank,digest",
+        [
+            ("A", "5", "ed8f5d687c138e3fc3c746f0f3d0d195921bf4b00ea653510553aadf0f8a41ee"),
+            ("D", "4", "87cfbf86243c3110d0540d2ca6dbbe76dd36e8009f2c2d06736514154423e399"),
+            ("E", "6", "f97519203f9333ee5b129bd955977446b0f697090324258ef350a6fb7cf87606"),
+        ],
+    )
+    def test_graph_dot_bytes_are_pinned(self, tmp_path, capsys, family, rank, digest):
+        dot = tmp_path / "q.dot"
+        assert main(["graph", "--family", family, "--rank", rank, "--dot", str(dot)]) == 0
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == digest
 
     def test_graph_dot_of_a_valued_diagram_fails_before_enumerating(
         self, tmp_path, capsys, monkeypatch
@@ -759,7 +811,7 @@ class TestSelftest:
                     else:
                         row.append(b[i][j] + max(0, b[i][k] * b[k][j]))
                 rows.append(row)
-            return ExchangeMatrix.from_lists(rows)
+            return ExchangeMatrix(rows)
 
         monkeypatch.setattr(cli, "matrix_mutate", broken_mutate)
         assert main(["selftest"]) == 1

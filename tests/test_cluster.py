@@ -1,4 +1,8 @@
-"""Exchange matrices, quivers, Dynkin constructors, numeric mutation."""
+"""Exchange matrices and their DOT text, Dynkin constructors, numeric mutation.
+
+quiver_mutate below is the arrow-level mutation rule, kept here as an
+independent reference for matrix_mutate.
+"""
 
 import random
 import time
@@ -10,7 +14,6 @@ from clustercrypt.cluster import (
     DynkinSpec,
     ExchangeMatrix,
     NumericSeed,
-    Quiver,
     apply_sequence,
     breadth_first,
     cartan_counterpart,
@@ -19,8 +22,6 @@ from clustercrypt.cluster import (
     is_finite_type,
     matrix_mutate,
     numeric_mutate,
-    quiver_mutate,
-    seeds_equivalent,
     standard_cartan,
 )
 from clustercrypt.errors import (
@@ -28,7 +29,6 @@ from clustercrypt.errors import (
     InvalidSpecError,
     InvalidVertexError,
     MutationDivisionError,
-    RankMismatchError,
 )
 from clustercrypt.fields import FieldParams
 
@@ -266,34 +266,73 @@ class TestMatrixMutation:
             matrix_mutate(matrix, 0)
 
 
+def quiver_mutate(arrows: dict, k: int) -> dict:
+    """Three-step mutation at k of the quiver {(i, j): multiplicity of i -> j}.
+
+    1. For every path i -> k -> j add multiplicity(i,k)*multiplicity(k,j)
+       arrows i -> j.
+    2. Cancel a maximal set of resulting 2-cycles.
+    3. Reverse all arrows incident with k.
+    """
+    counts = dict(arrows)
+    into_k = {i: m for (i, j), m in arrows.items() if j == k}
+    out_of_k = {j: m for (i, j), m in arrows.items() if i == k}
+    for i, a in into_k.items():
+        for j, b in out_of_k.items():
+            counts[(i, j)] = counts.get((i, j), 0) + a * b
+    for (i, j) in list(counts):
+        if i < j and (j, i) in counts:
+            m = min(counts[(i, j)], counts[(j, i)])
+            counts[(i, j)] -= m
+            counts[(j, i)] -= m
+    mutated = {}
+    for (i, j), m in counts.items():
+        if m:
+            arrow = (j, i) if k in (i, j) else (i, j)
+            mutated[arrow] = mutated.get(arrow, 0) + m
+    return mutated
+
+
+def quiver_of(matrix: ExchangeMatrix) -> dict:
+    return {(i, j): m for i, row in enumerate(matrix.rows) for j, m in enumerate(row) if m > 0}
+
+
+def matrix_of(n: int, arrows: dict) -> ExchangeMatrix:
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), m in arrows.items():
+        rows[i][j], rows[j][i] = m, -m
+    return ExchangeMatrix(rows)
+
+
 class TestQuiver:
     def test_pure_reversal(self):
         # 0 -> 1 <- 2 at k=1 reverses both arrows
-        q = Quiver(3, (((0, 1), 1), ((2, 1), 1)))
-        got = quiver_mutate(q, 1)
-        assert got.arrows == (((1, 0), 1), ((1, 2), 1))
+        got = quiver_mutate({(0, 1): 1, (2, 1): 1}, 1)
+        assert got == {(1, 0): 1, (1, 2): 1}
 
     def test_path_composition(self):
         # 0 -> 1 -> 2 at k=1 adds 0 -> 2 and reverses at 1
-        q = Quiver(3, (((0, 1), 1), ((1, 2), 1)))
-        got = quiver_mutate(q, 1)
-        assert got.arrows == (((0, 2), 1), ((1, 0), 1), ((2, 1), 1))
+        got = quiver_mutate({(0, 1): 1, (1, 2): 1}, 1)
+        assert got == {(0, 2): 1, (1, 0): 1, (2, 1): 1}
 
     def test_double_arrow_reversal(self):
-        q = Quiver(2, (((0, 1), 2),))
-        assert quiver_mutate(q, 1).arrows == (((1, 0), 2),)
+        assert quiver_mutate({(0, 1): 2}, 1) == {(1, 0): 2}
 
     def test_rejects_two_cycles(self):
-        with pytest.raises(InvalidMatrixError):
-            Quiver(2, (((0, 1), 1), ((1, 0), 1)))
+        # arrows 0 -> 1 and 1 -> 0 would need b_01 = b_10 = 1
+        with pytest.raises(InvalidMatrixError, match="violate sign-skew-symmetry"):
+            ExchangeMatrix(((0, 1), (1, 0)))
 
     def test_matrix_round_trip(self):
         matrix = ExchangeMatrix(A5_MATRIX)
-        assert Quiver.from_matrix(matrix).to_matrix().rows == matrix.rows
+        assert matrix_of(5, quiver_of(matrix)).rows == matrix.rows
 
     def test_from_matrix_rejects_valued(self):
-        with pytest.raises(InvalidMatrixError):
-            Quiver.from_matrix(ExchangeMatrix(((0, 2), (-1, 0))))
+        with pytest.raises(
+            InvalidMatrixError,
+            match="^only skew-symmetric matrices correspond to quivers$",
+        ):
+            ExchangeMatrix(((0, 2), (-1, 0))).to_dot()
 
     def test_commutes_with_matrix_mutation(self):
         rng = random.Random(107)
@@ -305,14 +344,21 @@ class TestQuiver:
             for _ in range(rng.randrange(5)):
                 matrix = matrix_mutate(matrix, rng.randrange(matrix.n))
             k = rng.randrange(matrix.n)
-            via_quiver = quiver_mutate(Quiver.from_matrix(matrix), k).to_matrix()
+            via_quiver = matrix_of(matrix.n, quiver_mutate(quiver_of(matrix), k))
             assert via_quiver.rows == matrix_mutate(matrix, k).rows
 
     def test_dot_export(self):
-        q = Quiver.from_matrix(dynkin_exchange_matrix(DynkinSpec("A", 3)))
-        dot = q.to_dot()
-        assert dot.startswith("digraph")
-        assert "x0 -> x1" in dot
+        dot = dynkin_exchange_matrix(DynkinSpec("A", 3)).to_dot()
+        assert dot == "digraph quiver {\n  x0;\n  x1;\n  x2;\n  x0 -> x1;\n  x2 -> x1;\n}"
+
+    def test_dot_labels_multiple_arrows(self):
+        markov = ExchangeMatrix(((0, 2, -2), (-2, 0, 2), (2, -2, 0)))
+        assert markov.to_dot() == (
+            "digraph quiver {\n  x0;\n  x1;\n  x2;\n"
+            '  x0 -> x1 [label="2"];\n'
+            '  x1 -> x2 [label="2"];\n'
+            '  x2 -> x0 [label="2"];\n}'
+        )
 
 
 class TestBreadthFirst:
@@ -546,57 +592,3 @@ class TestNumericSeeds:
             except MutationDivisionError:
                 continue
             assert twice == seed
-
-
-class TestSeedEquivalence:
-    def test_self_equivalence_is_identity(self):
-        gf32 = FieldParams(2, 5, (1, 0, 1, 0, 0, 1))
-        seed = NumericSeed(
-            tuple(gf32.alpha_power(i) for i in range(5)),
-            ExchangeMatrix(A5_MATRIX),
-            gf32,
-        )
-        assert seeds_equivalent(seed, seed) == (0, 1, 2, 3, 4)
-
-    def test_cyclic_relabelling_found(self):
-        gf = FieldParams(7, 1, (3, 1))
-        matrix = ExchangeMatrix(((0, 1, 0), (-1, 0, 1), (0, -1, 0)))
-        seed = NumericSeed(((1,), (2,), (3,)), matrix, gf)
-        pi = (2, 0, 1)
-        relabelled = NumericSeed(
-            tuple(seed.values[pi[i]] for i in range(3)), matrix.permuted(pi), gf
-        )
-        assert seeds_equivalent(seed, relabelled) == pi
-
-    def test_permuted_mutated_seed_pair(self):
-        # the rank-3 seed obtained by mutating at vertex 2, against its
-        # cyclically relisted form: same class, shift permutation
-        from clustercrypt.symbolic import (
-            SymbolicSeed,
-            initial_symbolic_seed,
-            rf_mutate,
-        )
-
-        big_prime = (1 << 61) - 1
-        matrix = dynkin_exchange_matrix(DynkinSpec("A", 3))
-        c2 = rf_mutate(initial_symbolic_seed(matrix, big_prime), 2)
-        assert c2.matrix.rows == ((0, 1, 0), (-1, 0, 1), (0, -1, 0))
-        c2_shifted = SymbolicSeed(
-            (c2.entries[2], c2.entries[0], c2.entries[1]),
-            ExchangeMatrix(((0, 0, -1), (0, 0, 1), (1, -1, 0))),
-        )
-        assert seeds_equivalent(c2, c2_shifted) == (2, 0, 1)
-
-    def test_distinct_value_sets_not_equivalent(self):
-        gf = FieldParams(7, 1, (3, 1))
-        matrix = ExchangeMatrix(((0, 1), (-1, 0)))
-        s1 = NumericSeed(((1,), (2,)), matrix, gf)
-        s2 = NumericSeed(((1,), (3,)), matrix, gf)
-        assert seeds_equivalent(s1, s2) is None
-
-    def test_rank_mismatch(self):
-        gf = FieldParams(7, 1, (3, 1))
-        s1 = NumericSeed(((1,), (2,)), ExchangeMatrix(((0, 1), (-1, 0))), gf)
-        s2 = NumericSeed(((1,),), ExchangeMatrix(((0,),)), gf)
-        with pytest.raises(RankMismatchError):
-            seeds_equivalent(s1, s2)

@@ -1,5 +1,6 @@
 """Root systems: generation, counts, symmetrizers, axiom checks."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -105,25 +106,24 @@ class TestSymmetrizer:
 class TestAxioms:
     @pytest.mark.parametrize(
         "family,rank",
-        [("A", 3), ("B", 4), ("C", 3), ("D", 4), ("F", 4), ("G", 2), ("E", 6)],
+        [("A", 3), ("B", 3), ("B", 4), ("C", 3), ("D", 4), ("F", 4), ("G", 2), ("E", 6)],
     )
     def test_axioms_hold(self, family, rank):
         rs = generate_root_system(standard_cartan(family, rank))
         report = check_root_axioms(rs)
         assert report.ok, report.failures[:5]
 
-    def test_pairings_are_integral(self):
+    def test_reports_broken_reflections_and_pairings(self):
+        # check_root_axioms is the one home of root pairings and
+        # reflections: a missing root must break R3, a skewed Gram R4
         rs = generate_root_system(standard_cartan("G", 2))
-        for alpha in rs.roots:
-            for beta in rs.roots:
-                assert rs.pairing(beta, alpha).denominator == 1
-
-    def test_reflection_fixes_orthogonal(self):
-        rs = generate_root_system(standard_cartan("A", 3))
-        # alpha_0 and alpha_2 are orthogonal in A_3
-        assert rs.reflect((0, 0, 1), (1, 0, 0)) == (0, 0, 1)
-
-    def test_reflection_negates_self(self):
-        rs = generate_root_system(standard_cartan("B", 3))
-        for alpha in rs.simple:
-            assert rs.reflect(alpha, alpha) == tuple(-x for x in alpha)
+        short = replace(
+            rs,
+            roots=tuple(r for r in rs.roots if r != (2, 3)),
+            positive=tuple(r for r in rs.positive if r != (2, 3)),
+        )
+        assert "R3: s_(1, 0) does not permute R" in check_root_axioms(short).failures
+        gram = ((2 * rs.gram[0][0], rs.gram[0][1]), rs.gram[1])
+        assert "R4: <(1, 3),(1, 0)> not integral" in check_root_axioms(
+            replace(rs, gram=gram)
+        ).failures
