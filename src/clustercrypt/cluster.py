@@ -114,10 +114,9 @@ def matrix_mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
     return ExchangeMatrix(tuple(new_rows))
 
 
-def cartan_counterpart(matrix: ExchangeMatrix | Rows) -> Rows:
+def cartan_counterpart(matrix: ExchangeMatrix) -> Rows:
     """2 on the diagonal, -|b_ij| off it."""
-    rows = matrix.rows if isinstance(matrix, ExchangeMatrix) else tuple(matrix)
-    n = len(rows)
+    rows, n = matrix.rows, matrix.n
     return tuple(
         tuple(2 if i == j else -abs(rows[i][j]) for j in range(n)) for i in range(n)
     )

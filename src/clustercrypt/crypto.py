@@ -81,7 +81,8 @@ class Alphabet:
         return len(self.letters)
 
     def number_of(self, letter: str) -> int:
-        index = self.letters.find(letter.upper())
+        # only ASCII is upper-cased: "ı".upper() is "I" and "ſ".upper() is "S"
+        index = self.letters.find(letter.upper() if letter.isascii() else letter)
         if len(letter) != 1 or index < 0:
             raise UnknownSymbolError(f"{letter!r} is not in the alphabet")
         return index + 1

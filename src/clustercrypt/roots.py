@@ -99,10 +99,6 @@ def generate_root_system(cartan: Cartan, bound: int = 10_000) -> RootSystem:
     gram = tuple(
         tuple(cartan[i][j] * d[j] for j in range(n)) for i in range(n)
     )
-    for i in range(n):
-        for j in range(n):
-            if gram[i][j] != gram[j][i]:
-                raise InvalidMatrixError("matrix is not symmetrizable")
     simple = tuple(
         tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
     )

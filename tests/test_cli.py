@@ -270,8 +270,10 @@ class TestEncryptDecrypt:
             ("  ", "error: message is empty\n"),
             # Arabic-Indic twelve: int() reads it, the message parser does not
             ("\u0661\u0662", "error: '\u0661' is not in the alphabet\n"),
+            # dotless i and long s: str.upper() reads them as I and S
+            ("\u0131\u017f", "error: '\u0131' is not in the alphabet\n"),
         ],
-        ids=["empty", "blank", "non-ascii-digits"],
+        ids=["empty", "blank", "non-ascii-digits", "non-ascii-letters"],
     )
     def test_message_without_records_is_usage_error(
         self, ex1_files, tmp_path, capsys, message, error

@@ -90,6 +90,15 @@ class TestMessageCodec:
     def test_letter_f(self):
         assert encode_message("F", EX1) == (0, 1, 1, 0, 0)
 
+    def test_lower_case_ascii_letter(self):
+        assert encode_message("f", EX1) == encode_message("F", EX1)
+
+    @pytest.mark.parametrize("letter", ["\u0131", "\u017f"], ids=["dotless-i", "long-s"])
+    def test_non_ascii_letter_rejected(self, letter):
+        # str.upper() maps these to I and S; the alphabet is ASCII only
+        with pytest.raises(UnknownSymbolError, match="is not in the alphabet"):
+            encode_message(letter, EX1)
+
     def test_large_integer(self):
         assert encode_message(38927, EX2) == (42, 82, 3, 0, 0, 0, 0)
 

@@ -1,5 +1,6 @@
 """Arithmetic in Z_p and GF(p^r): golden values and algebraic properties."""
 
+import itertools
 import random
 
 import pytest
@@ -66,42 +67,60 @@ class TestIrreducibility:
     def test_degree_one_always_irreducible(self):
         assert is_irreducible([4, 1], 5)
 
-    def test_trial_division_agrees_with_power_test(self, monkeypatch):
-        # Dual-route check: with the trial-division limit at 0 every input
-        # takes the Rabin power test, which must match exhaustive trial
-        # division on every monic polynomial of these small spaces.
-        monkeypatch.setattr(fields, "_TRIAL_DIVISION_LIMIT", 0)
+    def test_agrees_with_trial_division(self):
+        # every monic polynomial of these small spaces, degree 1 included,
+        # against exhaustive trial division
         checked = 0
         for p, max_deg in ((2, 9), (3, 6), (5, 4), (7, 3)):
-            for deg in range(2, max_deg + 1):
-                for f in fields._monic_polys(deg, p):
+            for deg in range(1, max_deg + 1):
+                for f in _monic_polys(deg, p):
                     assert is_irreducible(f, p) == _trial_division_verdict(f, p), (f, p)
                     checked += 1
-        assert checked == 3276
+        assert checked == 3293
 
     def test_power_test_on_large_space(self):
-        # candidate space > trial threshold: product of two irreducibles
+        # product of two irreducibles
         f7 = [46, 0, 1, 1, 0, 74, 0, 1]
         g = fields._pmul(f7, [1, 1], 101)
         assert not is_irreducible(g, 101)
 
-
-    def test_mid_size_space_takes_the_power_test(self, monkeypatch):
-        # GF(101^4) has 10,302 candidate divisors, far past the measured
-        # crossover: trial division must not run
-        def no_trial_division(degree, p):
-            raise AssertionError("trial division ran")
-
-        monkeypatch.setattr(fields, "_monic_polys", no_trial_division)
+    def test_mid_size_space_takes_the_power_test(self):
+        # GF(101^4): 10,302 candidate divisors of degree <= 2
         assert is_irreducible([1, 1, 0, 0, 1], 101)
         assert not is_irreducible(fields._pmul([1, 0, 1], [1, 0, 1], 101), 101)
 
+    @pytest.mark.parametrize(
+        "a,b",
+        [([99, 0, 1], [98, 0, 1]), ([1, 1, 0, 1], [2, 0, 0, 0, 1])],
+        ids=["quadratic-quadratic", "cubic-quartic"],
+    )
+    def test_smallest_factor_at_half_the_degree(self, a, b):
+        # (x^2 - 2)(x^2 - 3) and (x^3 + x + 1)(x^4 + 2) over GF(101): no
+        # factor below degree floor(n/2), so only the last round sees one
+        assert all(_trial_division_verdict(g, 101) for g in (a, b))
+        assert is_irreducible(a, 101) and is_irreducible(b, 101)
+        assert not is_irreducible(fields._pmul(a, b, 101), 101)
+
+    def test_non_monic(self):
+        f7 = [46, 0, 1, 1, 0, 74, 0, 1]
+        assert is_irreducible([5 * c for c in f7], 101)
+        assert not is_irreducible([5 * c for c in fields._pmul([99, 0, 1], [98, 0, 1], 101)], 101)
+
+    def test_zero_constant_term_is_reducible(self):
+        # f(0) = 0: x divides f
+        assert not is_irreducible([0, 46, 0, 1, 1, 0, 74, 0, 1], 101)
+
+
+def _monic_polys(degree, p):
+    """All monic polynomials of exactly the given degree over Z_p."""
+    for lower in itertools.product(range(p), repeat=degree):
+        yield list(lower) + [1]
+
 
 def _trial_division_verdict(f, p):
-    f = list(f)
     deg = len(f) - 1
     for d in range(1, deg // 2 + 1):
-        for g in fields._monic_polys(d, p):
+        for g in _monic_polys(d, p):
             if not fields._pmod(f, g, p):
                 return False
     return True

@@ -102,6 +102,13 @@ class TestSymmetrizer:
         with pytest.raises(InvalidMatrixError):
             symmetrizer(((2, -1), (0, 2)))  # asymmetric zero pattern
 
+    @pytest.mark.parametrize("build", [symmetrizer, generate_root_system])
+    def test_symmetric_zero_pattern_without_symmetrizer(self, build):
+        # edges 0-1 and 0-2 force d_1 = d_0 and d_2 = 2 d_0, edge 1-2 d_1 = d_2
+        cartan = ((2, -1, -1), (-1, 2, -1), (-2, -1, 2))
+        with pytest.raises(InvalidMatrixError, match="^matrix is not symmetrizable$"):
+            build(cartan)
+
 
 class TestAxioms:
     @pytest.mark.parametrize(
