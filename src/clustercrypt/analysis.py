@@ -146,22 +146,29 @@ def _walk_seed_classes(entries, matrix, entry_key, mutate, budget, overflow):
     Vainshtein 2008), so a class is keyed by its sorted entry keys. Returns
     each class relabelled into key order, the order it is expanded in, and
     its neighbours' indices, in discovery order.
+
+    Since the cluster alone decides the class, a neighbour state carries
+    its parent's matrix and the mutated vertex, not its own matrix: only
+    the first state found for a class is expanded, so the matrix is built
+    once per class, as the walk yields it (V - 1 mutations, not r * V).
     """
     n = matrix.n
 
     def neighbours(state):
-        found, keys, current = state
+        # expanded just after it is yielded: `current` is its matrix
+        found, keys = state[:2]
         for k in sorted(range(n), key=keys.__getitem__):
             new = mutate(found, current, k)
             new_keys = keys[:k] + (entry_key(new[k]),) + keys[k + 1:]
-            yield new, new_keys, matrix_mutate(current, k)
+            yield new, new_keys, current, k
 
     seeds, neighbors = [], []
-    start = (entries, tuple(map(entry_key, entries)), matrix)
+    start = (entries, tuple(map(entry_key, entries)), matrix, None)
     walk = breadth_first([start], neighbours, lambda state: tuple(sorted(state[1])))
-    for index, (found, keys, current), out in walk:
+    for index, (found, keys, parent, k), out in walk:
         if index >= budget:
             raise BudgetExceededError(overflow)
+        current = parent if k is None else matrix_mutate(parent, k)
         order = sorted(range(n), key=keys.__getitem__)
         seeds.append((tuple(found[i] for i in order), current.permuted(order)))
         neighbors.append(out)

@@ -53,6 +53,7 @@ from .errors import (
     EncryptionFailedError,
     InvalidKeyError,
     InvalidSpecError,
+    ParseError,
     ZeroMessageError,
 )
 from .fields import FieldParams, element_to_int, int_to_element
@@ -73,9 +74,14 @@ def _fail_usage(message: str) -> int:
 
 def _write_file(path: str, data: bytes) -> None:
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-    os.replace(tmp, path)
+    handle = open(tmp, "wb")
+    try:
+        with handle:
+            handle.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_file(path: str) -> bytes:
@@ -153,6 +159,8 @@ def cmd_decrypt(args) -> int:
     key = deserialize_key(_read_file(args.key))
     blob = _read_file(args.ciphertext)
     lines = [line for line in blob.splitlines() if line.strip()]
+    if not lines:
+        raise ParseError(f"ciphertext file {args.ciphertext} holds no records")
     outputs = []
     for line in lines:
         message = decrypt(params, key, deserialize_ciphertext(line, params))

@@ -34,6 +34,19 @@ def graph_for(family, rank, **kw):
     )
 
 
+def count_matrix_mutations(monkeypatch):
+    """Record the vertex of every matrix mutation the walks make."""
+    calls = []
+    mutate = analysis.matrix_mutate
+
+    def counted(matrix, k):
+        calls.append(k)
+        return mutate(matrix, k)
+
+    monkeypatch.setattr(analysis, "matrix_mutate", counted)
+    return calls
+
+
 PENTAGON = graph_for("A", 2)
 A3_GRAPH = graph_for("A", 3)
 
@@ -104,12 +117,30 @@ class TestEnumeration:
             ("G", 2, "76e098b58db6c4c82ae6d13d0fceea0f1f0071a2c543f2215b9f69419f4b6f6c"),
             ("F", 4, "2f64471d54f80e35b6031e1c65b2429c9b6f3b4386c43f98db9cdf75219d5733"),
             ("E", 6, "b461db0cd9c9f5cb3a8d1f8bced9afc1a2c250016e743fd36d4fab98c838a6e6"),
+            # the larger graphs the benchmark enumerates, taken while every
+            # neighbour's matrix was still built: building each class's
+            # matrix once must not move a vertex, an edge or a row either
+            ("D", 6, "618bf4f14312baf3d7b44cd95ceaa5049b999257f1c7b33ead344955c9274843"),
+            ("A", 7, "93b80955bcae74a8dd7ff64c46d009f0df719889d8e8813e653e309cef4b7970"),
+            ("E", 7, "233eb995987bc25c3f9035049cf60428c6e4d3ede4fefbfaae07230b9120a03f"),
+            ("A", 8, "2d4b39bbc46fc83eb513856cc0ad70d670c7eb45892b2f1fa7fa97f7ae8f0b2f"),
+            ("D", 7, "85dacfaa858346138fdf1c068b8cd80cc3e7aca197ed3c85ec773fda69c4ce93"),
+            ("B", 6, "3d29d530f6f64462eb242efb4d379569826cac9ac636d6ac5f53f961d571f728"),
+            ("C", 6, "f936b458ac38b0007f2dab949e2856048e993486834ba75e1a332ac0f259e7fb"),
         ],
     )
     def test_graph_digest_is_pinned(self, family, rank, digest):
         graph = graph_for(family, rank)
         text = repr((graph.vertices, graph.adjacency))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "family,rank", [("A", 3), ("B", 3), ("D", 4), ("E", 6), ("G", 2)]
+    )
+    def test_each_class_matrix_is_built_once(self, monkeypatch, family, rank):
+        calls = count_matrix_mutations(monkeypatch)
+        graph = graph_for(family, rank)
+        assert len(calls) == graph.n_vertices - 1
 
     def test_edge_symmetry_rejects_merged_clusters(self):
         # At (1, 4) mod 11 two B2 clusters share a fingerprint multiset.
@@ -320,10 +351,14 @@ class TestSymbolicEnumeration:
             ("G", 2, "57277fbbe997f657808a3d1fa3e1b6a2dbfa908ce59307ccd0cf2393b073ae61"),
         ],
     )
-    def test_cluster_variable_digest_is_pinned(self, family, rank, digest):
+    def test_cluster_variable_digest_is_pinned(self, monkeypatch, family, rank, digest):
+        n_classes = graph_for(family, rank).n_vertices
+        calls = count_matrix_mutations(monkeypatch)
         variables = cluster_variables(dynkin_exchange_matrix(DynkinSpec(family, rank)))
         keys = sorted(v.canonical_key() for v in variables)
         assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+        # the symbolic walk, too, builds each class's matrix once
+        assert len(calls) == n_classes - 1
 
     @pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("D", 4), ("G", 2)])
     def test_symbolic_seeds_are_the_fingerprint_vertices(self, family, rank):

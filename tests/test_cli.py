@@ -59,6 +59,21 @@ class TestParams:
         assert code == 64
 
 
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        code = main(
+            [
+                "params",
+                "--p", "2", "--r", "5", "--f", "1,0,1,0,0,1",
+                "--family", "A", "--rank", "5",
+                "--out", str(out),
+            ]
+        )
+        assert code == 64
+        assert "Is a directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir"]
+
     def test_explicit_orientation_is_written(self, tmp_path):
         out = tmp_path / "p.json"
         code = main(
@@ -285,6 +300,21 @@ class TestEncryptDecrypt:
         assert main(["encrypt", *files, "--message", message, "--out", str(out)]) == 64
         assert capsys.readouterr() == ("", error)
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("blob", [b"", b"\n  \n\n"], ids=["empty", "blank-lines"])
+    def test_ciphertext_without_records_is_usage_error(
+        self, ex1_files, tmp_path, capsys, blob, fmt
+    ):
+        params, key = ex1_files
+        ct = tmp_path / "ct.json"
+        ct.write_bytes(blob)
+        files = ["--params", str(params), "--key", str(key), "--ciphertext", str(ct)]
+        capsys.readouterr()
+        assert main(["decrypt", *files, "--format", fmt]) == 64
+        assert capsys.readouterr() == (
+            "", f"error: ciphertext file {ct} holds no records\n"
+        )
 
     def test_zero_message_exits_2_without_output(self, ex1_files, tmp_path):
         params, key = ex1_files
