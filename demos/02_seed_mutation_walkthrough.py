@@ -7,14 +7,15 @@ matrix. Mutating at vertex k replaces entry k by
 
 and updates the matrix. Mutation is an involution: doing it twice at the
 same vertex restores the seed. The symbolic engine tracks entries as
-rational functions; the numeric engine evaluates directly in GF(p^r).
-Both walk the same A_5 chain here.
+rational functions; the numeric engine evaluates directly in GF(p^r),
+and its exchange step (numeric_mutate) reads row k alone, while
+apply_sequence carries the matrix along. Both walk the same A_5 chain
+here.
 """
 
 from clustercrypt import (
     DynkinSpec,
     FieldParams,
-    NumericSeed,
     apply_sequence,
     apply_symbolic_sequence,
     dynkin_exchange_matrix,
@@ -47,16 +48,14 @@ print("\nmutate twice at vertex 1: entries restored:",
 
 # the same chain over GF(2^5), starting from the alpha powers
 gf32 = FieldParams(2, 5, (1, 0, 1, 0, 0, 1))
-numeric = NumericSeed(
-    tuple(gf32.alpha_power(i) for i in range(5)), matrix, gf32
-)
-out = apply_sequence(numeric, [1, 4, 0, 3, 1])
+start = tuple(gf32.alpha_power(i) for i in range(5))
+values, _ = apply_sequence(start, matrix, [1, 4, 0, 3, 1], gf32)
 print("\nnumeric walk from (1, a, a^2, a^3, a^4):")
-print("  final values:", [element_to_int(v, gf32) for v in out.values])
+print("  final values:", [element_to_int(v, gf32) for v in values])
 
 # cross-check: evaluating the symbolic entries at alpha powers agrees
 symbolic = apply_symbolic_sequence(initial_symbolic_seed(matrix, 2), [1, 4, 0, 3, 1])
 point = [gf32.alpha_power(i) for i in range(5)]
 evaluated = [element_to_int(e.evaluate(point, gf32), gf32) for e in symbolic.entries]
 print("  symbolic path:", evaluated)
-print("  agreement:", evaluated == [element_to_int(v, gf32) for v in out.values])
+print("  agreement:", evaluated == [element_to_int(v, gf32) for v in values])

@@ -28,7 +28,6 @@ from .cluster import (
     DynkinSpec,
     ExchangeMatrix,
     FiniteTypeResult,
-    NumericSeed,
     apply_sequence,
     cartan_counterpart,
     dynkin_exchange_matrix,
@@ -94,7 +93,6 @@ __all__ = [
     "ExchangeMatrix",
     "FieldParams",
     "FiniteTypeResult",
-    "NumericSeed",
     "Polynomial",
     "RationalFunction",
     "RootSystem",

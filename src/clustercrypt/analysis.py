@@ -131,7 +131,7 @@ def _enumerate_at_point(
             raise _PointCollision
     return ExchangeGraph(
         rank=n,
-        vertices=tuple((values, current.rows) for values, current in seeds),
+        vertices=tuple(seeds),
         adjacency=tuple(tuple(sorted(nbrs)) for nbrs in neighbors),
         initial_vertex=0,
         prime=p,
@@ -144,8 +144,8 @@ def _walk_seed_classes(entries, matrix, entry_key, mutate, budget, overflow):
 
     A finite-type seed is determined by its cluster (Gekhtman-Shapiro-
     Vainshtein 2008), so a class is keyed by its sorted entry keys. Returns
-    each class relabelled into key order, the order it is expanded in, and
-    its neighbours' indices, in discovery order.
+    each class relabelled into key order, the order it is expanded in, as
+    (entries, matrix rows), and its neighbours' indices, in discovery order.
 
     Since the cluster alone decides the class, a neighbour state carries
     its parent's matrix and the mutated vertex, not its own matrix: only
@@ -170,7 +170,9 @@ def _walk_seed_classes(entries, matrix, entry_key, mutate, budget, overflow):
             raise BudgetExceededError(overflow)
         current = parent if k is None else matrix_mutate(parent, k)
         order = sorted(range(n), key=keys.__getitem__)
-        seeds.append((tuple(found[i] for i in order), current.permuted(order)))
+        rows = current.rows  # valid already: the relabelled rows need no check
+        relabelled = tuple(tuple(rows[i][j] for j in order) for i in order)
+        seeds.append((tuple(found[i] for i in order), relabelled))
         neighbors.append(out)
     return seeds, neighbors
 
@@ -413,7 +415,7 @@ def enumerate_symbolic_seeds(matrix: ExchangeMatrix, budget: int = 5_000) -> lis
         lambda entries, b, k: rf_mutate(SymbolicSeed(entries, b), k).entries,
         budget, f"symbolic enumeration exceeded {budget} seeds",
     )
-    return [SymbolicSeed(entries, current) for entries, current in seeds]
+    return [SymbolicSeed(entries, ExchangeMatrix(rows)) for entries, rows in seeds]
 
 
 def cluster_variables(matrix: ExchangeMatrix, budget: int = 5_000) -> list[RationalFunction]:

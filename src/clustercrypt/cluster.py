@@ -7,8 +7,10 @@ The mutation at vertex k replaces value k by
                                  value k
 
 and updates the matrix by the usual rule (negate row/column k, adjust the
-rest). Matrices are square with no frozen rows; constructors reject
-anything else.
+rest). The value half reads row k alone, so numeric_mutate takes that
+row, not a matrix; apply_sequence carries a matrix along with the values.
+Matrices are square with no frozen rows; constructors reject anything
+else.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import (
     InvalidSpecError,
     InvalidVertexError,
     MutationDivisionError,
-    RankMismatchError,
 )
 from .fields import Element, FieldParams, require_int
 
@@ -62,15 +63,6 @@ class ExchangeMatrix:
     @property
     def n(self) -> int:
         return len(self.rows)
-
-    def permuted(self, perm: Sequence[int]) -> "ExchangeMatrix":
-        """Matrix of the relabelled seed: entry (i,j) -> (perm[i], perm[j])."""
-        return ExchangeMatrix(
-            tuple(
-                tuple(self.rows[perm[i]][perm[j]] for j in range(self.n))
-                for i in range(self.n)
-            )
-        )
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
@@ -422,60 +414,54 @@ def is_finite_type(matrix: ExchangeMatrix, budget: int = 100_000) -> FiniteTypeR
     return FiniteTypeResult("not_finite", explored=explored)
 
 
-# --- numeric seeds ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NumericSeed:
-    """Ordered cluster of field elements paired with an exchange matrix."""
-
-    values: tuple[Element, ...]
-    matrix: ExchangeMatrix
-    params: FieldParams
-
-    def __post_init__(self):
-        if len(self.values) != self.matrix.n:
-            raise RankMismatchError(
-                f"{len(self.values)} values for a rank-{self.matrix.n} matrix"
-            )
-        object.__setattr__(self, "values", tuple(map(tuple, self.values)))
+# --- numeric mutation ---------------------------------------------------------
 
 
 def numeric_mutate(
-    seed: NumericSeed,
-    k: int,
-    step: Optional[int] = None,
-    mutated_matrix: Optional[ExchangeMatrix] = None,
-) -> NumericSeed:
-    """Replace value k by (pos product + neg product) / value k.
+    values: tuple[Element, ...], row: Sequence[int], k: int, field: FieldParams
+) -> tuple[Element, ...]:
+    """The exchange relation: values with value k replaced by
 
-    Each product starts from its first factor, a factor with |b| = 1 is
-    the value itself, and only an empty side is one(). A caller that
-    already holds matrix_mutate(seed.matrix, k), as the cipher's key
-    schedule does, passes it as mutated_matrix; it is not checked again.
+        (product over row's positive entries + product over its negatives) / values[k].
+
+    row is row k of the exchange matrix; nothing else of the matrix is
+    read. Negating it swaps the two products and leaves the value alone,
+    so a step and its reverse read the same row. Each product starts from
+    its first factor, a factor with |b| = 1 is the value itself, and only
+    an empty side is one().
     """
-    matrix = matrix_mutate(seed.matrix, k) if mutated_matrix is None else mutated_matrix
-    params = seed.params
-    if not any(seed.values[k]):
-        raise MutationDivisionError(k, step)
+    if not any(values[k]):
+        raise MutationDivisionError(k)
     pos = neg = None
-    for value, b in zip(seed.values, seed.matrix.rows[k]):
+    for value, b in zip(values, row):
         if b:
-            factor = value if b in (1, -1) else fields.ext_pow(value, abs(b), params)
+            factor = value if b in (1, -1) else fields.ext_pow(value, abs(b), field)
             if b > 0:
-                pos = factor if pos is None else fields.ext_mul(pos, factor, params)
+                pos = factor if pos is None else fields.ext_mul(pos, factor, field)
             else:
-                neg = factor if neg is None else fields.ext_mul(neg, factor, params)
-    one = params.one()
-    total = fields.ext_add(one if pos is None else pos, one if neg is None else neg, params)
-    new_value = fields.ext_mul(total, fields.ext_inv(seed.values[k], params), params)
-    values = list(seed.values)
-    values[k] = new_value
-    return NumericSeed(tuple(values), matrix, params)
+                neg = factor if neg is None else fields.ext_mul(neg, factor, field)
+    one = field.one()
+    total = fields.ext_add(one if pos is None else pos, one if neg is None else neg, field)
+    new_value = fields.ext_mul(total, fields.ext_inv(values[k], field), field)
+    return values[:k] + (new_value,) + values[k + 1:]
 
 
-def apply_sequence(seed: NumericSeed, ks: Sequence[int]) -> NumericSeed:
-    """Left-to-right mutation; fails fast with the 1-based failing step."""
+def apply_sequence(
+    values: tuple[Element, ...], matrix: ExchangeMatrix, ks: Sequence[int], field: FieldParams
+) -> tuple[tuple[Element, ...], ExchangeMatrix]:
+    """Mutate (values, matrix) left to right; fails fast with the 1-based failing step.
+
+    Each step mutates the matrix before it reads the value it divides by,
+    so a matrix that leaves sign-skew-symmetry fails first; both errors
+    name the step.
+    """
     for step, k in enumerate(ks, start=1):
-        seed = numeric_mutate(seed, k, step=step)
-    return seed
+        try:
+            mutated = matrix_mutate(matrix, k)
+            values = numeric_mutate(values, matrix.rows[k], k, field)
+        except InvalidMatrixError as exc:
+            raise InvalidMatrixError(f"{exc} at step {step}") from exc
+        except MutationDivisionError as exc:
+            raise MutationDivisionError(k, step) from exc
+        matrix = mutated
+    return values, matrix

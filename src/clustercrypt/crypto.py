@@ -7,10 +7,14 @@ ciphertext. Decryption applies the reversed sequence and reads position
 k0 back, checking that every other position returned to alpha^i and the
 matrix returned to the initial one.
 
-The matrices along the key's path depend only on the diagram and the
-key, so they are its schedule: validated and built once per key object,
-kept on that object, and reused for every record it encrypts or
-decrypts. Each cipher step then does only field work.
+A step reads only row k of the current matrix, and the matrices along
+the key's path depend only on the diagram and the key. So the key's
+schedule is the initial matrix, the row each step reads and the final
+matrix: validated and built once per key object, kept on that object,
+and reused for every record it encrypts or decrypts. Each cipher step
+then does only field work. Decryption walks the same rows backward: the
+reverse step reads the row negated, which swaps the two monomials of
+the exchange relation and leaves its value alone.
 
 The fast path mutates numerically in GF(p^r). The reference path mirrors
 the textbook presentation -- mutate symbolically, substitute the message
@@ -32,7 +36,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
 from random import Random
 from typing import Optional, Union
 
@@ -40,7 +43,8 @@ from . import fields
 from .cluster import (
     DynkinSpec,
     ExchangeMatrix,
-    NumericSeed,
+    Rows,
+    apply_sequence,
     dynkin_exchange_matrix,
     matrix_mutate,
     numeric_mutate,
@@ -52,6 +56,7 @@ from .errors import (
     EncryptionFailedError,
     InfeasibleKeyError,
     InvalidKeyError,
+    InvalidMatrixError,
     InvalidSpecError,
     MutationDivisionError,
     OutOfRangeError,
@@ -287,10 +292,13 @@ def keygen(rng_seed: int, params: SystemParams, t: int) -> SecretKey:
     raise InfeasibleKeyError(f"no valid key of length {t} found for rank {r}")
 
 
-def _schedule(params: SystemParams, key: SecretKey) -> tuple[ExchangeMatrix, ...]:
-    """M_0..M_t: the initial matrix, then its image after each key step.
+def _schedule(
+    params: SystemParams, key: SecretKey
+) -> tuple[ExchangeMatrix, Rows, ExchangeMatrix]:
+    """(M_0, rows, M_t): the initial matrix, the row k_i of M_(i-1) that
+    key step i reads, and the final matrix.
 
-    The key is validated and the matrices built once per key object and
+    The key is validated and the rows built once per key object and
     diagram; the result is kept on the key, as FieldParams keeps its
     packed rows, so it lives exactly as long as the key does.
     """
@@ -301,7 +309,11 @@ def _schedule(params: SystemParams, key: SecretKey) -> tuple[ExchangeMatrix, ...
     violations = validate_key(key, initial)
     if violations:
         raise InvalidKeyError(violations)
-    schedule = tuple(accumulate(key.seq, matrix_mutate, initial=initial))
+    rows, matrix = [], initial
+    for k in key.seq:
+        rows.append(matrix.rows[k])
+        matrix = matrix_mutate(matrix, k)
+    schedule = (initial, tuple(rows), matrix)
     object.__setattr__(key, "_schedule", schedule)
     return schedule
 
@@ -325,7 +337,7 @@ def encrypt(
     whose result is zero raises EncryptionFailedError: such a seed can
     never be decrypted, so the caller should re-key.
     """
-    schedule = _schedule(params, key)
+    _, rows, final = _schedule(params, key)
     field = params.field
     if len(message) != field.r or any(
         not 0 <= require_int(d, "digit") < field.p for d in message
@@ -338,20 +350,14 @@ def encrypt(
     # (Laurent phenomenon) evaluated at nonzero coordinates
     if reference_path:
         return _encrypt_reference(params, key, message)
-    seed = _initial_numeric_seed(params, key, message)
-    for step, k in enumerate(key.seq, start=1):
-        seed = numeric_mutate(seed, k, step=step, mutated_matrix=schedule[step])
-        if not any(seed.values[k]):
-            raise EncryptionFailedError(step, "mutation produced the zero value")
-    return CiphertextSeed(seed.values, seed.matrix)
-
-
-def _initial_numeric_seed(
-    params: SystemParams, key: SecretKey, message: Element
-) -> NumericSeed:
     values = _alpha_point(params)
     values[key.k0] = tuple(message)
-    return NumericSeed(tuple(values), params.initial_matrix(), params.field)
+    values = tuple(values)
+    for step, (k, row) in enumerate(zip(key.seq, rows), start=1):
+        values = numeric_mutate(values, row, k, field)
+        if not any(values[k]):
+            raise EncryptionFailedError(step, "mutation produced the zero value")
+    return CiphertextSeed(values, final)
 
 
 def _message_combination(params: SystemParams, message: Element) -> RationalFunction:
@@ -392,31 +398,41 @@ def decrypt(params: SystemParams, key: SecretKey, ct: CiphertextSeed) -> Element
 
     Every other position must have returned to alpha^i and the matrix to
     the initial one; anything else means a corrupt seed or a wrong key.
-    The reversed schedule serves a record whose matrix is the key's final
-    one; any other matrix is mutated step by step, so a tampered record
-    fails at the step, and with the message, of that plain walk.
+    A record whose matrix is the key's final one walks the schedule's
+    rows backward. Any other matrix goes through apply_sequence, so a
+    tampered record fails at the step, and with the message, of that
+    plain walk; a matrix that leaves sign-skew-symmetry on the way is
+    corrupt too.
     """
-    schedule = _schedule(params, key)
-    if len(ct.values) != params.field.r:
+    initial, rows, final = _schedule(params, key)
+    field = params.field
+    if len(ct.values) != field.r:
         raise CorruptOrWrongKeyError(
-            f"ciphertext rank {len(ct.values)} != field degree {params.field.r}"
+            f"ciphertext rank {len(ct.values)} != field degree {field.r}"
         )
-    matrices = schedule[-2::-1] if ct.matrix == schedule[-1] else [None] * len(key.seq)
-    seed = NumericSeed(ct.values, ct.matrix, params.field)
-    for step, (k, matrix) in enumerate(zip(reversed(key.seq), matrices), start=1):
+    if ct.matrix == final:
+        values, matrix = ct.values, initial
+        for step, (k, row) in enumerate(zip(reversed(key.seq), reversed(rows)), start=1):
+            try:
+                values = numeric_mutate(values, row, k, field)
+            except MutationDivisionError as exc:
+                raise DecryptionFailedError(step) from exc
+    else:
         try:
-            seed = numeric_mutate(seed, k, step=step, mutated_matrix=matrix)
+            values, matrix = apply_sequence(ct.values, ct.matrix, key.seq[::-1], field)
         except MutationDivisionError as exc:
-            raise DecryptionFailedError(step) from exc
+            raise DecryptionFailedError(exc.step) from exc
+        except InvalidMatrixError as exc:
+            raise CorruptOrWrongKeyError(str(exc)) from exc
     point = _alpha_point(params)
-    for i, value in enumerate(seed.values):
+    for i, value in enumerate(values):
         if i != key.k0 and value != point[i]:
             raise CorruptOrWrongKeyError(
                 f"integrity position {i} did not return to its base value"
             )
-    if seed.matrix.rows != params.initial_matrix().rows:
+    if matrix.rows != initial.rows:
         raise CorruptOrWrongKeyError("matrix did not return to the initial one")
-    message = seed.values[key.k0]
+    message = values[key.k0]
     if not any(message):
         raise CorruptOrWrongKeyError("recovered the zero element")
     return message

@@ -125,7 +125,3 @@ class BudgetExceededError(ClusterCryptError):
 
 class NotFiniteTypeError(ClusterCryptError):
     """Operation requires a finite-type exchange matrix."""
-
-
-class RankMismatchError(ClusterCryptError):
-    """Two seeds of different rank cannot be compared."""

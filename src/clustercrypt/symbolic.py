@@ -30,7 +30,6 @@ from .errors import (
     InvalidPolynomialError,
     InvalidVertexError,
     MutationDivisionError,
-    NonInvertibleError,
     NotClusterShapedError,
     NotDivisibleError,
     ParseError,
@@ -157,9 +156,6 @@ class Polynomial:
             and self.p == other.p
             and self.terms == other.terms
         )
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, self.p, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         return f"Polynomial({self.render()!r})"
@@ -436,10 +432,6 @@ class RationalFunction:
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     def __pow__(self, e: int) -> "RationalFunction":
-        if e < 0:
-            if self.is_zero():
-                raise NonInvertibleError("zero has no negative powers")
-            return RationalFunction(self.den**-e, self.num**-e)
         return RationalFunction(self.num**e, self.den**e)
 
     def __eq__(self, other) -> bool:

@@ -372,7 +372,8 @@ class TestSymbolicEnumeration:
         for seed in seeds:
             values = [entry.evaluate_int(graph.point) for entry in seed.entries]
             order = sorted(range(rank), key=values.__getitem__)
-            vertices.add((tuple(values[i] for i in order), seed.matrix.permuted(order).rows))
+            rows = tuple(tuple(seed.matrix.rows[i][j] for j in order) for i in order)
+            vertices.add((tuple(values[i] for i in order), rows))
         assert vertices == set(graph.vertices)
 
 

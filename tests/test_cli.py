@@ -442,6 +442,11 @@ class TestEncryptDecrypt:
             ("zero-value", 3, "error: decryption failed at step 1\n"),
             ("negated-matrix", 3, "error: matrix did not return to the initial one\n"),
             ("invalid-key", 64, "error: invalid key: "),
+            (
+                "skew-lost",
+                3,
+                "error: entries (2,4)=8 and (4,2)=1 violate sign-skew-symmetry at step 3\n",
+            ),
         ],
     )
     def test_decrypt_failures(self, ex1_files, tmp_path, capsys, tamper, code, message):
@@ -457,6 +462,13 @@ class TestEncryptDecrypt:
             # -B swaps the two monomials of every exchange relation, so the
             # values return but the matrix comes back negated
             payload["matrix"] = [[-b for b in row] for row in payload["matrix"]]
+        elif tamper == "skew-lost":
+            # a valid matrix whose third reverse step leaves sign-skew-symmetry:
+            # a corrupt seed (exit 3), not a usage error
+            payload["matrix"] = [
+                [0, 0, -1, 3, 3], [0, 0, 1, 0, -1], [3, -1, 0, 0, 0],
+                [-1, 0, 0, 0, 0], [-1, 2, 0, 0, 0],
+            ]
         else:
             key.write_text('{"k0":0,"seq":[1,1,0]}')
         out.write_text(json.dumps(payload) + "\n")
@@ -810,6 +822,44 @@ class TestGoldenOutput:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # sha256 of the ciphertext file and of decrypt's stdout, pinned before
+    # the key schedule kept rows in place of matrices
+    @pytest.mark.parametrize(
+        "field,diagram,keygen,message,ct_digest,out_digest",
+        [
+            (
+                ["--p", "2", "--r", "5", "--f", "1,0,1,0,0,1"],
+                ["--family", "A", "--rank", "5"],
+                ["--rng-seed", "42", "--length", "6"],
+                "HELP",
+                "c7f06c291660a094532be9d7ef9d32731bc1391344e96aaa3a0160fab930d4f6",
+                "a3b66c1f4d1e1e4080f7a6aa6869b7f4078350af31cb889d882010a1cd415708",
+            ),
+            (
+                ["--p", "101", "--r", "7", "--f", "46,0,1,1,0,74,0,1"],
+                ["--family", "D", "--rank", "7"],
+                ["--rng-seed", "4", "--length", "20"],
+                "HELLOWORLD",
+                "0f97477b501bcef7694d077828428e14813d14ee29745b5d86cabc2ec0468661",
+                "ab9890d67da0b8528c2572afe922ddc2590dd3f7b0f392b8786d66ed2634c462",
+            ),
+        ],
+        ids=["readme-A5", "D7"],
+    )
+    def test_session_is_pinned(
+        self, tmp_path, capsys, field, diagram, keygen, message, ct_digest, out_digest
+    ):
+        params, key, ct = tmp_path / "p.json", tmp_path / "k.json", tmp_path / "ct"
+        assert main(["params", *field, *diagram, "--out", str(params)]) == 0
+        assert main(["keygen", "--params", str(params), *keygen, "--out", str(key)]) == 0
+        files = ["--params", str(params), "--key", str(key)]
+        assert main(["encrypt", *files, "--message", message, "--out", str(ct)]) == 0
+        assert hashlib.sha256(ct.read_bytes()).hexdigest() == ct_digest
+        capsys.readouterr()
+        assert main(["decrypt", *files, "--ciphertext", str(ct)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == out_digest
 
 
 class TestSelftest:

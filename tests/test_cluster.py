@@ -8,12 +8,13 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustercrypt import fields
 from clustercrypt.cluster import (
     DynkinSpec,
     ExchangeMatrix,
-    NumericSeed,
     apply_sequence,
     breadth_first,
     cartan_counterpart,
@@ -528,53 +529,44 @@ GF5 = FieldParams(5, 1, (3, 1))  # GF(5) itself: f = x + 3 is degree 1
 class TestNumericSeeds:
     def test_rank2_hand_computation(self):
         matrix = ExchangeMatrix(((0, 1), (-1, 0)))
-        seed = NumericSeed(((2,), (3,)), matrix, GF5)
-        out = numeric_mutate(seed, 0)
+        values, out = apply_sequence(((2,), (3,)), matrix, [0], GF5)
         # (3 + 1) / 2 = 2 in GF(5)
-        assert out.values == ((2,), (3,))
-        assert out.matrix.rows == ((0, -1), (1, 0))
+        assert values == ((2,), (3,))
+        assert out.rows == ((0, -1), (1, 0))
+        assert numeric_mutate(((2,), (3,)), matrix.rows[0], 0, GF5) == values
 
     def test_zero_value_raises_with_position(self):
-        matrix = ExchangeMatrix(((0, 1), (-1, 0)))
-        seed = NumericSeed(((0,), (3,)), matrix, GF5)
         with pytest.raises(MutationDivisionError) as err:
-            numeric_mutate(seed, 0)
+            numeric_mutate(((0,), (3,)), (0, 1), 0, GF5)
         assert err.value.vertex == 0
+        assert err.value.step is None
 
     def test_sequence_error_carries_step(self):
         matrix = ExchangeMatrix(((0, 1), (-1, 0)))
         # 0 appears at position 1: mutating there on step 2 must fail
-        seed = NumericSeed(((1,), (0,)), matrix, GF5)
         with pytest.raises(MutationDivisionError) as err:
-            apply_sequence(seed, [0, 1])
+            apply_sequence(((1,), (0,)), matrix, [0, 1], GF5)
         assert err.value.step == 2
 
     def test_empty_sequence_is_identity(self):
         matrix = ExchangeMatrix(A5_MATRIX)
         gf32 = FieldParams(2, 5, (1, 0, 1, 0, 0, 1))
-        seed = NumericSeed(tuple(gf32.alpha_power(i) for i in range(5)), matrix, gf32)
-        assert apply_sequence(seed, []) == seed
+        values = tuple(gf32.alpha_power(i) for i in range(5))
+        assert apply_sequence(values, matrix, [], gf32) == (values, matrix)
 
     def test_double_mutation_restores_seed(self):
         gf32 = FieldParams(2, 5, (1, 0, 1, 0, 0, 1))
-        seed = NumericSeed(
-            tuple(gf32.alpha_power(i) for i in range(5)),
-            ExchangeMatrix(A5_MATRIX),
-            gf32,
-        )
-        assert apply_sequence(seed, [2, 2]) == seed
+        values = tuple(gf32.alpha_power(i) for i in range(5))
+        matrix = ExchangeMatrix(A5_MATRIX)
+        assert apply_sequence(values, matrix, [2, 2], gf32) == (values, matrix)
 
     def test_worked_example_position4(self):
         # after [1,4,0,3,1] from the alpha-power seed, position 4 holds
         # (alpha^3 + 1)/alpha^4 = integer 25
         gf32 = FieldParams(2, 5, (1, 0, 1, 0, 0, 1))
-        seed = NumericSeed(
-            tuple(gf32.alpha_power(i) for i in range(5)),
-            ExchangeMatrix(A5_MATRIX),
-            gf32,
-        )
-        out = apply_sequence(seed, [1, 4, 0, 3, 1])
-        assert fields.element_to_int(out.values[4], gf32) == 25
+        values = tuple(gf32.alpha_power(i) for i in range(5))
+        out, _ = apply_sequence(values, ExchangeMatrix(A5_MATRIX), [1, 4, 0, 3, 1], gf32)
+        assert fields.element_to_int(out[4], gf32) == 25
 
     def test_numeric_involution_randomized(self):
         rng = random.Random(113)
@@ -584,11 +576,47 @@ class TestNumericSeeds:
             values = tuple(
                 fields.random_element(rng, gf, nonzero=True) for _ in range(matrix.n)
             )
-            seed = NumericSeed(values, matrix, gf)
             k = rng.randrange(matrix.n)
             try:
-                once = numeric_mutate(seed, k)
-                twice = numeric_mutate(once, k)
+                once = numeric_mutate(values, matrix.rows[k], k, gf)
+                # the reverse step reads row k of the mutated matrix
+                twice = numeric_mutate(once, matrix_mutate(matrix, k).rows[k], k, gf)
             except MutationDivisionError:
                 continue
-            assert twice == seed
+            assert twice == values
+
+    def test_matrix_leaving_sign_skew_symmetry_names_the_step(self):
+        # sign-skew-symmetric but not skew-symmetrizable: the second step
+        # leaves sign-skew-symmetry, which is checked before the zero value
+        matrix = ExchangeMatrix(((0, -2, 1), (1, 0, -2), (-1, 2, 0)))
+        with pytest.raises(InvalidMatrixError) as err:
+            apply_sequence(((0,), (1,), (0,)), matrix, [1, 0], GF5)
+        assert str(err.value) == (
+            "entries (1,2)=-1 and (2,1)=0 violate sign-skew-symmetry at step 2"
+        )
+
+
+NEGATION_FIELDS = (
+    FieldParams(2, 5, (1, 0, 1, 0, 0, 1)),
+    FieldParams(7, 2, (3, 1, 1)),
+    FieldParams(101, 7, (46, 0, 1, 1, 0, 74, 0, 1)),
+)
+# B3 and G2 reach rows with |b| = 2 and 3
+NEGATION_SPECS = (DynkinSpec("A", 5), DynkinSpec("D", 7), DynkinSpec("B", 3), DynkinSpec("G", 2))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from(NEGATION_FIELDS), st.sampled_from(NEGATION_SPECS), st.data())
+def test_negated_row_gives_the_same_value(field, spec, data):
+    # the two monomials swap places: decryption's backward row walk rests on this
+    matrix = dynkin_exchange_matrix(spec)
+    vertex = st.integers(0, matrix.n - 1)
+    for k in data.draw(st.lists(vertex, max_size=12)):
+        matrix = matrix_mutate(matrix, k)
+    k = data.draw(vertex)
+    element = st.integers(1, field.q - 1).map(lambda n: fields.int_to_element(n, field))
+    values = tuple(data.draw(st.lists(element, min_size=matrix.n, max_size=matrix.n)))
+    row = matrix.rows[k]
+    out = numeric_mutate(values, row, k, field)
+    assert numeric_mutate(values, tuple(-b for b in row), k, field) == out
+    assert out[:k] + out[k + 1:] == values[:k] + values[k + 1:]

@@ -5,8 +5,11 @@ import random
 from functools import partial
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from clustercrypt.cluster import DynkinSpec, matrix_mutate
+from clustercrypt import crypto
+from clustercrypt.cluster import DynkinSpec, apply_sequence, matrix_mutate
 from clustercrypt.crypto import (
     DEFAULT_ALPHABET,
     CiphertextSeed,
@@ -394,6 +397,41 @@ class TestDecrypt:
             assert decrypt(params, key, ct) == message
             successes += 1
         assert successes > 0
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(
+            [
+                EX1,
+                EX2,
+                SystemParams(FieldParams(5, 3, (3, 4, 0, 1)), DynkinSpec("B", 3), None),
+                SystemParams(FieldParams(7, 2, (3, 1, 1)), DynkinSpec("G", 2), None),
+            ]
+        ),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 24),
+        st.data(),
+    )
+    def test_schedule_walk_matches_apply_sequence(self, params, rng_seed, t, data):
+        # decrypt walks the schedule's rows backward; the plain walk over the
+        # record's own matrix must reach the same values and the initial matrix
+        field = params.field
+        key = keygen(rng_seed, params, t)
+        message = int_to_element(data.draw(st.integers(1, field.q - 1)), field)
+        try:
+            ct = encrypt(params, key, message)
+        except EncryptionFailedError:
+            assume(False)
+        initial, _, final = crypto._schedule(params, key)
+        assert ct.matrix == final
+        values, matrix = apply_sequence(ct.values, ct.matrix, key.seq[::-1], field)
+        assert matrix == initial == params.initial_matrix()
+        point = [field.alpha_power(i) for i in range(field.r)]
+        point[key.k0] = message
+        assert values == tuple(point)
+        # the schedule walk returns the message only once every other
+        # position is back at alpha^i
+        assert decrypt(params, key, ct) == message
 
 
 class TestWireFormat:
