@@ -376,7 +376,8 @@ class FiniteTypeResult:
     """Verdict of the mutation-class search.
 
     verdict is "finite" (family/rank set), "not_finite" (class exhausted
-    without a Dynkin Cartan counterpart), or "unknown" (budget hit).
+    without a Dynkin Cartan counterpart, or a matrix in it is not
+    2-finite), or "unknown" (budget hit).
     """
 
     verdict: str
@@ -389,11 +390,25 @@ class FiniteTypeResult:
         return self.verdict == "finite"
 
 
+def is_two_finite(matrix: ExchangeMatrix) -> bool:
+    """|b_ij b_ji| <= 3 for all i, j.
+
+    A cluster algebra is of finite type iff every matrix in its mutation
+    class is 2-finite (Fomin-Zelevinsky, "Cluster algebras II", Invent.
+    Math. 154 (2003), Thm 1.8).
+    """
+    rows = matrix.rows
+    return all(abs(rows[i][j] * rows[j][i]) <= 3 for i in range(matrix.n) for j in range(i))
+
+
 def is_finite_type(matrix: ExchangeMatrix, budget: int = 100_000) -> FiniteTypeResult:
     """Search the matrix mutation class for a finite-type Cartan counterpart.
 
-    Finite type holds iff some matrix in the class has one, so exhausting
-    the class is a definitive "not finite"; hitting the budget is not.
+    Finite type holds iff some matrix in the class has one, and then every
+    matrix in the class is 2-finite. So exhausting the class, or reaching a
+    matrix by mutation that is not 2-finite, is a definitive "not finite";
+    hitting the budget is not. As in apply_sequence, the 2-finite test
+    applies to the matrices mutation produces, not to the input.
     """
     walk = breadth_first(
         [matrix],
@@ -406,6 +421,8 @@ def is_finite_type(matrix: ExchangeMatrix, budget: int = 100_000) -> FiniteTypeR
             if index >= budget:
                 return FiniteTypeResult("unknown", explored=explored)
             explored = index + 1
+            if index and not is_two_finite(current):
+                break
             found = classify_cartan(cartan_counterpart(current))
             if found:
                 return FiniteTypeResult("finite", found[0], found[1], explored)
@@ -452,12 +469,17 @@ def apply_sequence(
     """Mutate (values, matrix) left to right; fails fast with the 1-based failing step.
 
     Each step mutates the matrix before it reads the value it divides by,
-    so a matrix that leaves sign-skew-symmetry fails first; both errors
-    name the step.
+    so a matrix that leaves sign-skew-symmetry fails first. From step 2
+    on, the matrix whose row the step reads came from a mutation and must
+    be 2-finite: a walk in a finite-type class stays 2-finite, and outside
+    such classes entries can grow at every step. All three errors name
+    the step.
     """
     for step, k in enumerate(ks, start=1):
         try:
             mutated = matrix_mutate(matrix, k)
+            if step > 1 and not is_two_finite(matrix):
+                raise InvalidMatrixError("matrix is not 2-finite")
             values = numeric_mutate(values, matrix.rows[k], k, field)
         except InvalidMatrixError as exc:
             raise InvalidMatrixError(f"{exc} at step {step}") from exc

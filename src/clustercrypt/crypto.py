@@ -401,7 +401,8 @@ def decrypt(params: SystemParams, key: SecretKey, ct: CiphertextSeed) -> Element
     A record whose matrix is the key's final one walks the schedule's
     rows backward. Any other matrix goes through apply_sequence, so a
     tampered record fails at the step, and with the message, of that
-    plain walk; a matrix that leaves sign-skew-symmetry on the way is
+    plain walk; a matrix that leaves sign-skew-symmetry, or the 2-finite
+    matrices that every matrix of a finite-type class is in, on the way is
     corrupt too.
     """
     initial, rows, final = _schedule(params, key)

@@ -528,6 +528,30 @@ class TestEncryptDecrypt:
         assert main(["decrypt", *files, "--ciphertext", str(out)]) == 3
         assert capsys.readouterr() == ("", message)
 
+    def test_record_outside_the_two_finite_matrices_fails_fast(self, tmp_path, capsys):
+        # a sign-skew-symmetric matrix outside every finite-type class; walked
+        # without the 2-finite check, its entries grew to 641,187 bits in 55
+        # reverse steps and decrypt ran for more than 10 s
+        params, key, ct = tmp_path / "p.json", tmp_path / "k.json", tmp_path / "ct"
+        field = ["--p", "101", "--r", "7", "--f", "46,0,1,1,0,74,0,1"]
+        assert main(["params", *field, "--family", "D", "--rank", "7", "--out", str(params)]) == 0
+        keygen = ["--length", "60", "--rng-seed", "0", "--out", str(key)]
+        assert main(["keygen", "--params", str(params), *keygen]) == 0
+        files = ["--params", str(params), "--key", str(key)]
+        assert main(["encrypt", *files, "--message", "A", "--out", str(ct)]) == 0
+        payload = json.loads(ct.read_text())
+        payload["matrix"] = [
+            [0, 3, 0, -1, 0, -2, 1], [-3, 0, 0, 3, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0],
+            [1, -3, 0, 0, 0, 2, 0], [0, 0, 0, 0, 0, 2, 3], [3, 0, 0, -3, -1, 0, 3],
+            [-3, 0, 0, 0, -2, -3, 0],
+        ]
+        ct.write_text(json.dumps(payload) + "\n")
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["decrypt", *files, "--ciphertext", str(ct)]) == 3
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr() == ("", "error: matrix is not 2-finite at step 2\n")
+
     @pytest.mark.parametrize(
         "tamper,message",
         [

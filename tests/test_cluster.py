@@ -21,6 +21,7 @@ from clustercrypt.cluster import (
     classify_cartan,
     dynkin_exchange_matrix,
     is_finite_type,
+    is_two_finite,
     matrix_mutate,
     numeric_mutate,
     standard_cartan,
@@ -447,6 +448,32 @@ class TestFiniteType:
         res = is_finite_type(matrix)
         assert (res.family, res.rank) == (family, rank)
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((0, 3, 0), (-2, 0, 1), (0, -1, 0)),
+            ((0, 3, 0, 0), (-2, 0, 1, 0), (0, -1, 0, 1), (0, 0, -1, 0)),
+        ],
+        ids=["rank-3", "rank-4"],
+    )
+    def test_matrix_that_is_not_two_finite_is_not_finite(self, rows):
+        # entries 3 and -2 on an edge: the first mutation keeps them, so the
+        # walk stops there instead of running into its budget
+        assert not is_two_finite(ExchangeMatrix(rows))
+        res = is_finite_type(ExchangeMatrix(rows), budget=3000)
+        assert (res.verdict, res.explored) == ("not_finite", 2)
+
+    @pytest.mark.parametrize(
+        "family,rank",
+        [("A", 5), ("B", 4), ("C", 4), ("D", 6), ("E", 8), ("F", 4), ("G", 2)],
+    )
+    def test_finite_type_classes_are_two_finite(self, family, rank):
+        rng = random.Random(131)
+        matrix = dynkin_exchange_matrix(DynkinSpec(family, rank))
+        for _ in range(50):
+            assert is_two_finite(matrix)
+            matrix = matrix_mutate(matrix, rng.randrange(matrix.n))
+
     def test_classify_rejects_disconnected(self):
         assert classify_cartan(((2, 0), (0, 2))) is None
 
@@ -594,6 +621,14 @@ class TestNumericSeeds:
         assert str(err.value) == (
             "entries (1,2)=-1 and (2,1)=0 violate sign-skew-symmetry at step 2"
         )
+
+    def test_matrix_leaving_the_two_finite_matrices_names_the_step(self):
+        # step 1 reads the input row; step 2 would read row 1 of
+        # ((0, -3), (2, 0)), where |b_01 b_10| = 6
+        matrix = ExchangeMatrix(((0, 3), (-2, 0)))
+        with pytest.raises(InvalidMatrixError) as err:
+            apply_sequence(((1,), (2,)), matrix, [0, 1], GF5)
+        assert str(err.value) == "matrix is not 2-finite at step 2"
 
 
 NEGATION_FIELDS = (

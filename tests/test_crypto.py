@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from functools import partial
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clustercrypt import crypto
-from clustercrypt.cluster import DynkinSpec, apply_sequence, matrix_mutate
+from clustercrypt.cluster import DynkinSpec, ExchangeMatrix, apply_sequence, matrix_mutate
 from clustercrypt.crypto import (
     DEFAULT_ALPHABET,
     CiphertextSeed,
@@ -30,6 +31,7 @@ from clustercrypt.crypto import (
 )
 from clustercrypt.errors import (
     CorruptOrWrongKeyError,
+    DecryptionFailedError,
     EncryptionFailedError,
     InfeasibleKeyError,
     InvalidKeyError,
@@ -432,6 +434,35 @@ class TestDecrypt:
         # the schedule walk returns the message only once every other
         # position is back at alpha^i
         assert decrypt(params, key, ct) == message
+
+
+@st.composite
+def sign_skew_symmetric_7x7(draw):
+    """Zero diagonal; b_ij and b_ji both zero or of opposite signs, in [-3, 3]."""
+    rows = [[0] * 7 for _ in range(7)]
+    for i in range(7):
+        for j in range(i + 1, 7):
+            b_ij = draw(st.integers(-3, 3))
+            b_ji = 0 if b_ij == 0 else draw(st.integers(1, 3)) * (-1 if b_ij > 0 else 1)
+            rows[i][j], rows[j][i] = b_ij, b_ji
+    return ExchangeMatrix(rows)
+
+
+D7_KEY_60 = keygen(0, EX2, 60)
+D7_RECORD_60 = encrypt(EX2, D7_KEY_60, encode_message("A", EX2))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(sign_skew_symmetric_7x7())
+def test_tampered_matrix_fails_within_a_second(matrix):
+    # a record with another matrix is walked step by step; outside the
+    # 2-finite matrices that walk stops at once, so no record can make
+    # decrypt run long
+    ct = CiphertextSeed(D7_RECORD_60.values, matrix)
+    start = time.perf_counter()
+    with pytest.raises((CorruptOrWrongKeyError, DecryptionFailedError)):
+        decrypt(EX2, D7_KEY_60, ct)
+    assert time.perf_counter() - start < 1.0
 
 
 class TestWireFormat:

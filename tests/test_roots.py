@@ -1,5 +1,6 @@
 """Root systems: generation, counts, symmetrizers, axiom checks."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -134,3 +135,88 @@ class TestAxioms:
         assert "R4: <(1, 3),(1, 0)> not integral" in check_root_axioms(
             replace(rs, gram=gram)
         ).failures
+
+
+# the systems of acceptance check C11
+C11_SYSTEMS = (
+    [("A", r) for r in range(1, 9)]
+    + [("B", r) for r in range(2, 9)]
+    + [("C", r) for r in range(2, 9)]
+    + [("D", r) for r in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def broken_copies(rs):
+    """Faulty copies of rs (four, three at rank 1), each with a positive definite Gram."""
+    n = rs.rank
+    top = rs.roots[-1]
+    yield replace(
+        rs, roots=rs.roots[:-1], positive=tuple(r for r in rs.positive if r != top)
+    )
+    double = (2,) + (0,) * (n - 1)
+    yield replace(rs, roots=rs.roots + (double,), positive=rs.positive + (double,))
+    if n >= 2:
+        yield replace(rs, roots=rs.roots + ((1, -1) + (0,) * (n - 2),))
+    gram = [list(row) for row in rs.gram]
+    gram[0][0] *= 3
+    yield replace(rs, gram=tuple(map(tuple, gram)))
+
+
+def with_off_diagonal_doubled(rs):
+    """gram[0][1] and gram[1][0] doubled: a Gram that is not positive definite."""
+    gram = [list(row) for row in rs.gram]
+    gram[0][1] *= 2
+    gram[1][0] *= 2
+    return replace(rs, gram=tuple(map(tuple, gram)))
+
+
+# sha256 of repr([(ok, failures), ...]) over C11_SYSTEMS, each system followed
+# by broken_copies; computed with the Fraction ratio scan that R2 used before
+# roots were grouped by direction
+PINNED_REPORTS = "176f5fe42e30a1ae99d4d523fcaafb8b3427de2dd5ebe6c945e16e475ee490f9"
+
+
+class TestAxiomReports:
+    def test_reports_are_pinned(self):
+        reports = []
+        for family, rank in C11_SYSTEMS:
+            rs = generate_root_system(standard_cartan(family, rank))
+            for system in (rs, *broken_copies(rs)):
+                report = check_root_axioms(system)
+                reports.append((report.ok, report.failures))
+        assert len(reports) == 159
+        assert sum(not ok for ok, _ in reports) == 126
+        digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+        assert digest == PINNED_REPORTS
+
+    def test_doubled_simple_root_breaks_r2(self):
+        rs = generate_root_system(standard_cartan("B", 3))
+        report = check_root_axioms(replace(rs, roots=rs.roots + ((2, 0, 0),)))
+        assert [f for f in report.failures if f.startswith("R2")] == [
+            "R2: (2, 0, 0) is a multiple of (-1, 0, 0)",
+            "R2: (2, 0, 0) is a multiple of (1, 0, 0)",
+            "R2: (-1, 0, 0) is a multiple of (2, 0, 0)",
+        ]
+
+    def test_zero_vector_is_reported(self):
+        rs = generate_root_system(standard_cartan("A", 2))
+        report = check_root_axioms(replace(rs, roots=rs.roots + ((0, 0),)))
+        assert report.failures == ("R1: contains the zero vector", "R = R+ union R- fails")
+
+    def test_gram_that_is_not_positive_definite_is_reported(self):
+        # (1,1) has norm 0: it is named and is no reflection centre
+        report = check_root_axioms(
+            with_off_diagonal_doubled(generate_root_system(standard_cartan("A", 2)))
+        )
+        assert [f for f in report.failures if f.startswith("inner product")] == [
+            "inner product: ((-1, -1),(-1, -1)) <= 0",
+            "inner product: ((1, 1),(1, 1)) <= 0",
+        ]
+        assert "R3: s_(1, 0) does not permute R" in report.failures
+
+    @pytest.mark.parametrize("family,rank", [s for s in C11_SYSTEMS if s[1] > 1])
+    def test_doubled_off_diagonal_names_a_nonpositive_norm(self, family, rank):
+        rs = with_off_diagonal_doubled(generate_root_system(standard_cartan(family, rank)))
+        report = check_root_axioms(rs)
+        assert any(f.startswith("inner product: ") for f in report.failures)
