@@ -2,8 +2,12 @@
 
 Exit codes: 0 success, 1 selftest failure, 2 encryption failure,
 3 decryption failure (corrupt seed or wrong key), 64 bad usage or
-unreadable inputs. Diagnostics go to stderr; outputs are written with a
-write-then-rename so failures never leave partial files.
+unreadable inputs. Argument errors that argparse itself reports (a
+missing option, a value of the wrong type, an unknown subcommand or
+choice) exit 64 too, never 2, which means "re-key". Diagnostics go to
+stderr; outputs are written with a write-then-rename so failures never
+leave partial files. The argument parser is built once per process, on
+the first `main` call, and reused by every later call.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import json
 import os
 import secrets
 import sys
-from functools import partial
+from functools import cache, partial
 from random import Random
 
 from . import fields
@@ -436,7 +440,17 @@ def cmd_selftest(args) -> int:
 # --- argument wiring --------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Sharing is safe: `parse_args` returns a fresh `Namespace` on each call
+    and leaves the parser unchanged, and each `cmd_*` function looks up the
+    library names it calls as module globals when it runs. Each
+    subcommand's `func` default is bound once, on the first call, so a
+    replaced `cli.cmd_*` attribute is not seen by a parser built before it;
+    no caller or test replaces one.
+    """
     parser = argparse.ArgumentParser(
         prog="clustercrypt",
         description="mutation cipher over GF(p^r) with exchange-graph analysis",
@@ -507,8 +521,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # argparse printed usage and its error line to stderr
+            return EX_USAGE
+        raise  # --help
     if args.command == "graph" and not args.params and (
         args.family is None or args.rank is None
     ):

@@ -1,5 +1,6 @@
 """Command-line behaviors: exit codes, outputs, file discipline."""
 
+import argparse
 import hashlib
 import json
 import time
@@ -923,3 +924,111 @@ class TestSelftest:
         assert main(["selftest"]) == 1
         out = capsys.readouterr().out
         assert "FAIL matrix-involution" in out
+
+
+class TestArgumentParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["encrypt", "--params", "x"],
+            ["keygen", "--params", "x", "--length", "abc", "--out", "k"],
+            ["nope"],
+            ["graph", "--family", "A", "--rank", "3", "--format", "xml"],
+        ],
+        ids=["missing-option", "length-abc", "unknown-subcommand", "bad-format"],
+    )
+    def test_argument_errors_exit_64(self, capsys, argv):
+        # 2 means "encryption failure: re-key", so a typo must not exit 2
+        assert main(argv) == 64
+        out, err = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser.__wrapped__().parse_args(argv)
+        assert exc.value.code == 2
+        assert (out, err) == capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: clustercrypt")
+        assert ": error: " in err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "command",
+        [None, "params", "keygen", "encrypt", "decrypt", "graph", "probe", "selftest"],
+    )
+    def test_help_text_is_unchanged_by_reuse(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["--help"] if command is None else [command, "--help"]
+
+        def help_text(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            return out
+
+        first = help_text(main)
+        assert first.startswith("usage: clustercrypt")
+        assert help_text(main) == first
+        assert help_text(cli.build_parser.__wrapped__().parse_args) == first
+
+    def test_parser_is_built_once_per_process(self, ex1_files, tmp_path, monkeypatch):
+        # the fixture's `params` call built the parser; later commands reuse it
+        params, key = ex1_files
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        key2, ct = tmp_path / "k2.json", tmp_path / "ct"
+        files = ["--params", str(params), "--key", str(key)]
+        argvs = [
+            ["keygen", "--params", str(params), "--length", "4", "--rng-seed", "1",
+             "--out", str(key2)],
+            ["encrypt", *files, "--message", "HELP", "--out", str(ct)],
+            ["decrypt", *files, "--ciphertext", str(ct), "--format", "json"],
+            ["graph", "--family", "A", "--rank", "3"],
+            ["probe", "--max-rank", "2"],
+        ]
+        for argv in argvs:
+            assert main(argv) == 0
+        assert main(["encrypt", "--params", str(params)]) == 64
+        assert built == []
+
+    def test_graph_does_not_see_the_last_call_options(self, ex1_files, capsys):
+        params, _ = ex1_files
+        assert main(["graph", "--params", str(params), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["diagram"] == "A5"
+        assert main(["graph", "--family", "A", "--rank", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("exchange graph of A3\n  mutation classes: 14\n")
+
+    def test_decrypt_format_returns_to_its_default(self, ex1_files, tmp_path, capsys):
+        params, key = ex1_files
+        ct = tmp_path / "ct"
+        files = ["--params", str(params), "--key", str(key)]
+        assert main(["encrypt", *files, "--message", "HELP", "--out", str(ct)]) == 0
+        capsys.readouterr()
+        argv = ["decrypt", *files, "--ciphertext", str(ct)]
+        assert main([*argv, "--format", "json"]) == 0
+        assert [d["letter"] for d in json.loads(capsys.readouterr().out)] == list("HELP")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "8 (H)\n5 (E)\n12 (L)\n16 (P)\ntext: HELP\n"
+
+    def test_usage_error_leaves_the_next_call_as_a_first_call(
+        self, ex1_files, tmp_path, capsys
+    ):
+        params, key = ex1_files
+        ct = tmp_path / "ct"
+        argv = ["encrypt", "--params", str(params), "--key", str(key),
+                "--message", "HELP", "--out", str(ct)]
+        cli.build_parser.cache_clear()
+        capsys.readouterr()
+        assert main(argv) == 0
+        first = capsys.readouterr(), ct.read_bytes()
+        ct.unlink()
+        assert main(["encrypt", "--params", str(params), "--message", "HELP"]) == 64
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert (capsys.readouterr(), ct.read_bytes()) == first
