@@ -121,6 +121,7 @@ class SecretKey:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SecretKey":
+        _require_fields(d, ("k0", "seq"))
         return cls(d["k0"], d["seq"])
 
 
@@ -172,9 +173,11 @@ class SystemParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemParams":
+        _require_fields(d, ("p", "r", "f", "diagram"))
         diagram = d["diagram"]
         if not isinstance(diagram, dict):
             raise ParseError("diagram is not an object")
+        _require_fields(diagram, ("family", "rank"), "diagram ")
         orientation = diagram.get("orientation", "default")
         spec = DynkinSpec(diagram["family"], diagram["rank"], orientation)
         return cls(FieldParams.from_dict(d), spec)
@@ -455,6 +458,12 @@ def serialize_ciphertext(params: SystemParams, ct: CiphertextSeed) -> bytes:
     return _canonical_bytes(payload)
 
 
+def _require_fields(d: dict, names: tuple[str, ...], what: str = "") -> None:
+    missing = set(names) - d.keys()
+    if missing:
+        raise ParseError(f"missing {what}fields {sorted(missing)}")
+
+
 def _read_object(data: bytes, build):
     """build(payload) for one JSON object; every failure is a ParseError."""
     try:
@@ -479,9 +488,7 @@ def _ciphertext_from_dict(params: SystemParams, payload: dict) -> CiphertextSeed
     version = payload.get("v")
     if type(version) is not int or version != WIRE_VERSION:
         raise ParseError(f"unsupported version {version!r}")
-    missing = {"p", "r", "f", "diagram", "matrix", "values"} - payload.keys()
-    if missing:
-        raise ParseError(f"missing fields {sorted(missing)}")
+    _require_fields(payload, ("p", "r", "f", "diagram", "matrix", "values"))
     # bytes, not dicts: 2.0 == 2 and True == 1 in Python
     header = {name: payload[name] for name in ("p", "r", "f", "diagram")}
     if _canonical_bytes(header) != params._header:

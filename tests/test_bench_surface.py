@@ -14,7 +14,7 @@ import pytest
 
 import clustercrypt
 from clustercrypt import cli, crypto, fields, symbolic
-from clustercrypt.cluster import dynkin_exchange_matrix
+from clustercrypt.cluster import dynkin_exchange_matrix, numeric_mutate
 from clustercrypt.known_answers import EXAMPLE_1
 
 EX1_PARAMS, EX1_KEY = EXAMPLE_1.params, EXAMPLE_1.key
@@ -100,3 +100,23 @@ def test_one_cli_call_per_record(monkeypatch, tmp_path):
     assert cli.main(["encrypt", *files, "--message", "HELLO", "--out", str(out)]) == 0
     assert cli.main(["decrypt", *files, "--ciphertext", str(out)]) == 0
     assert calls == {"encrypt": 5, "decrypt": 5, "deserialize_ciphertext": 5}
+
+
+def test_small_field_steps_call_the_traced_field_names(monkeypatch):
+    # the traced run times fields.ext_mul and fields.ext_inv by rebinding
+    # them in the module; a GF(2^5) step that read the log tables without
+    # going through those names would drop out of fields.ext_*_ns
+    field = EX1_PARAMS.field
+    calls = {"ext_mul": 0, "ext_inv": 0}
+    for name in calls:
+        original = getattr(fields, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(fields, name, counting)
+    values = tuple(fields.int_to_element(v, field) for v in (11, 18, 4, 7, 25))
+    row = dynkin_exchange_matrix(EX1_PARAMS.diagram).rows[1]
+    numeric_mutate(values, row, 1, field)
+    assert calls["ext_mul"] >= 1 and calls["ext_inv"] == 1

@@ -260,6 +260,40 @@ class TestEncryptDecrypt:
         assert "must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "ct.json").exists()
 
+    @pytest.mark.parametrize(
+        "name,text,message",
+        [
+            ("key", "params", "missing fields ['k0', 'seq']"),
+            ("key", '{"seq": [1, 4]}', "missing fields ['k0']"),
+            ("params", "key", "missing fields ['diagram', 'f', 'p', 'r']"),
+            (
+                "params",
+                '{"p": 2, "r": 5, "f": [1, 0, 1, 0, 0, 1], "diagram": {"family": "A"}}',
+                "missing diagram fields ['rank']",
+            ),
+        ],
+        ids=["params-as-key", "key-without-k0", "key-as-params", "diagram-without-rank"],
+    )
+    def test_missing_file_fields_are_named(
+        self, ex1_files, tmp_path, capsys, name, text, message
+    ):
+        files = dict(zip(("params", "key"), map(str, ex1_files)))
+        # "params" and "key" stand for the other file itself
+        files[name] = files.get(text) or str(tmp_path / "bad.json")
+        (tmp_path / "bad.json").write_text(text)
+        capsys.readouterr()
+        code = main(
+            [
+                "encrypt",
+                "--params", files["params"],
+                "--key", files["key"],
+                "--message", "F",
+                "--out", str(tmp_path / "ct.json"),
+            ]
+        )
+        assert (code, capsys.readouterr()) == (64, ("", f"error: {message}\n"))
+        assert not (tmp_path / "ct.json").exists()
+
     def test_reference_path_writes_identical_file(self, ex1_files, tmp_path):
         params, key = ex1_files
         fast, ref = tmp_path / "fast.json", tmp_path / "ref.json"
@@ -885,6 +919,32 @@ class TestGoldenOutput:
         assert main(["decrypt", *files, "--ciphertext", str(ct)]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+
+    def test_encryption_failures_are_pinned(self, tmp_path, capsys, monkeypatch):
+        # sha256 over (exit code, stdout, stderr) of 600 GF(2^5)/A5 encrypt
+        # commands, pinned with the packed multiply and extended Euclid,
+        # before small fields took log tables: every exit 2 and its
+        # "encryption failed at step N" line, and every record printed
+        # before it, must stay byte-identical
+        monkeypatch.chdir(tmp_path)
+        field = ["--p", "2", "--r", "5", "--f", "1,0,1,0,0,1"]
+        assert main(["params", *field, "--family", "A", "--rank", "5", "--out", "p"]) == 0
+        files = ["--params", "p", "--key", "k"]
+        alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+        digest, codes = hashlib.sha256(), []
+        for seed in range(200):
+            keygen = ["--rng-seed", str(seed), "--length", str(5 + seed % 4)]
+            assert main(["keygen", "--params", "p", *keygen, "--out", "k"]) == 0
+            capsys.readouterr()
+            for message in (alphabet, alphabet[::-1], "HELP"):
+                code = main(["encrypt", *files, "--message", message, "--out", "ct"])
+                out, err = capsys.readouterr()
+                digest.update(repr((code, out, err)).encode())
+                codes.append(code)
+        assert (codes.count(0), codes.count(2)) == (137, 463)
+        assert digest.hexdigest() == (
+            "d7082d3a791c1bdeea58689a3959ecb02c4e7a5b365052eb07e9647d419a2c51"
+        )
 
 
 class TestSelftest:

@@ -2,8 +2,11 @@
 
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustercrypt import fields
 from clustercrypt.errors import (
@@ -301,6 +304,158 @@ class TestAgainstPolynomialReference:
             inverse = tuple(inverse + [0] * (params.r - len(inverse)))
             assert ext_pow(a, params.q - 2, params) == inverse
             assert ext_pow(a, -1, params) == inverse
+
+
+# Every tabled field that the tests, the known answers or the benchmark
+# run on, each small enough to check on all q^2 pairs: test_acceptance's
+# first_irreducible moduli up to q = 256, the benchmark's GF(7^2) and
+# GF(5^3), and the prime fields of the cluster and crypto tests.
+EXHAUSTIVE_FIELDS = [
+    FieldParams(2, 1, (1, 1)),
+    FieldParams(2, 2, (1, 1, 1)),
+    FieldParams(5, 1, (3, 1)),
+    FieldParams(13, 1, (5, 1)),
+    FieldParams(3, 2, (1, 0, 1)),
+    FieldParams(5, 2, (2, 0, 1)),
+    FieldParams(7, 2, (1, 0, 1)),
+    FieldParams(7, 2, (3, 1, 1)),
+    FieldParams(2, 3, (1, 1, 0, 1)),
+    FieldParams(3, 3, (1, 2, 0, 1)),
+    FieldParams(5, 3, (1, 1, 0, 1)),
+    FieldParams(5, 3, (3, 4, 0, 1)),
+    FieldParams(2, 4, (1, 1, 0, 0, 1)),
+    FieldParams(3, 4, (2, 1, 0, 0, 1)),
+    GF32,
+    FieldParams(3, 5, (1, 2, 0, 0, 0, 1)),
+    FieldParams(2, 6, (1, 1, 0, 0, 0, 0, 1)),
+    FieldParams(2, 7, (1, 1, 0, 0, 0, 0, 0, 1)),
+    FieldParams(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),
+]
+# The largest tabled fields: test_acceptance's GF(5^4) and GF(3^6), and
+# the largest q of either shape below TABLE_MAX_Q.
+LARGEST_FIELDS = [
+    FieldParams(5, 4, (2, 0, 0, 0, 1)),
+    FieldParams(3, 6, (2, 1, 0, 0, 0, 0, 1)),
+    FieldParams(31, 2, (1, 0, 1)),
+    FieldParams(997, 1, (0, 1)),
+]
+
+
+def _field_id(params):
+    return f"gf{params.p}^{params.r}-f{''.join(map(str, params.f))}"
+
+
+def _elements(params):
+    return [int_to_element(n, params) for n in range(params.q)]
+
+
+class TestLogTables:
+    """The tables against the packed multiply and extended Euclid.
+
+    The symbolic oracle evaluates through the same tables, so it no longer
+    checks them; these tests do, on every pair of every small field.
+    """
+
+    @pytest.mark.parametrize("params", EXHAUSTIVE_FIELDS, ids=_field_id)
+    def test_mul_matches_packed_on_all_pairs(self, params):
+        packed = fields._without_tables(params)
+        elements = _elements(params)
+        for a in elements:
+            for b in elements:
+                assert ext_mul(a, b, params) == ext_mul(a, b, packed), (a, b)
+
+    @pytest.mark.parametrize("params", EXHAUSTIVE_FIELDS + LARGEST_FIELDS, ids=_field_id)
+    def test_inv_matches_euclid_on_every_element(self, params):
+        packed = fields._without_tables(params)
+        for a in _elements(params)[1:]:
+            assert ext_inv(a, params) == ext_inv(a, packed), a
+        with pytest.raises(NonInvertibleError, match="^zero element has no inverse$"):
+            ext_inv(params.zero(), params)
+
+    @pytest.mark.parametrize("params", EXHAUSTIVE_FIELDS, ids=_field_id)
+    def test_pow_matches_repeated_multiplication(self, params):
+        packed = fields._without_tables(params)
+        for a in _elements(params)[1:]:
+            power = inverse_power = params.one()
+            inverse = ext_inv(a, packed)
+            for e in range(params.q + 1):
+                assert ext_pow(a, e, params) == power, (a, e)
+                power = ext_mul(power, a, packed)
+            for e in range(-1, -4, -1):
+                inverse_power = ext_mul(inverse_power, inverse, packed)
+                assert ext_pow(a, e, params) == inverse_power, (a, e)
+
+    @pytest.mark.parametrize("params", EXHAUSTIVE_FIELDS + LARGEST_FIELDS, ids=_field_id)
+    def test_zero_operands(self, params):
+        zero, one = params.zero(), params.one()
+        for a in (zero, one, (params.p - 1,) * params.r):
+            assert ext_mul(zero, a, params) == ext_mul(a, zero, params) == zero
+        assert ext_pow(zero, 0, params) == one
+        for e in range(1, params.q + 1):
+            assert ext_pow(zero, e, params) == zero
+        for e in (-1, -2, -3):
+            with pytest.raises(NonInvertibleError, match="^zero element has no inverse$"):
+                ext_pow(zero, e, params)
+
+    @pytest.mark.parametrize("params", EXHAUSTIVE_FIELDS + LARGEST_FIELDS, ids=_field_id)
+    def test_exp_runs_once_through_the_nonzero_elements(self, params):
+        log, exp = fields._log_tables(params)
+        n = params.q - 1
+        assert len(exp) == 2 * n and exp[n:] == exp[:n]
+        assert len(set(exp[:n])) == n and params.zero() not in exp
+        assert exp[0] == params.one()
+        assert all(log[a] == i for i, a in enumerate(exp[:n]))
+
+    def test_tuple_outside_the_field_is_not_read_as_zero(self):
+        # digits must be reduced mod p: (2, 0, 0, 0, 0) is no element of GF(2^5)
+        with pytest.raises(KeyError):
+            ext_mul((2, 0, 0, 0, 0), GF32.one(), GF32)
+        with pytest.raises(KeyError):
+            ext_inv((0, 3, 0, 0, 0), GF32)
+        with pytest.raises(KeyError):
+            ext_pow((0, 3, 0, 0, 0), 2, GF32)
+
+    def test_fields_above_the_limit_keep_the_packed_path(self):
+        above = FieldParams(2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))
+        assert above.q > fields.TABLE_MAX_Q >= max(f.q for f in LARGEST_FIELDS)
+        assert above._tables is None and GF101_7._tables is None
+
+    def test_tables_are_built_on_first_use_and_shared(self):
+        params = FieldParams(3, 5, (1, 2, 0, 0, 0, 1))
+        again = FieldParams(3, 5, (1, 2, 0, 0, 0, 1))
+        assert params._tables == ()  # reading params builds nothing
+        ext_mul(params.one(), params.one(), params)
+        ext_inv(again.one(), again)
+        assert again._tables is params._tables
+        assert fields._without_tables(params)._tables is None
+        assert params._tables
+        assert fields._log_tables.cache_info().maxsize <= 8
+
+    def test_largest_build_stays_inside_its_bound(self):
+        # the slowest build at q <= TABLE_MAX_Q among the first three moduli
+        # of every field with q > 250: 2.6-3.8 ms on a shared 2-vCPU Xeon,
+        # inside the 5 ms that sets TABLE_MAX_Q (GF(2^10) took 4.2-6.2 ms);
+        # the bound here leaves 3x for a loaded host
+        params = FieldParams(3, 6, (1, 0, 0, 0, 2, 0, 1))
+        build = fields._log_tables.__wrapped__
+        best = min(_seconds(build, params) for _ in range(5))
+        assert best < 0.015
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.sampled_from(LARGEST_FIELDS), st.data())
+    def test_largest_fields_on_random_operands(self, params, data):
+        a, b = (int_to_element(data.draw(st.integers(0, params.q - 1)), params) for _ in "ab")
+        e = data.draw(st.integers(-3, params.q))
+        packed = fields._without_tables(params)
+        assert ext_mul(a, b, params) == ext_mul(a, b, packed)
+        if any(a):
+            assert ext_pow(a, e, params) == ext_pow(a, e, packed)
+
+
+def _seconds(build, params):
+    start = time.perf_counter()
+    build(params)
+    return time.perf_counter() - start
 
 
 class TestIntegerCodec:
