@@ -145,13 +145,15 @@ def cmd_encrypt(args) -> int:
     params = deserialize_params(_read_file(args.params))
     key = deserialize_key(_read_file(args.key))
     symbols = _parse_message(args.message)
-    records = []
+    cts = []
     for symbol in symbols:
         message = encode_message(symbol, params)
         ct = encrypt(params, key, message, reference_path=args.reference_path)
-        records.append(serialize_ciphertext(params, ct))
+        cts.append(ct)
         ints = [element_to_int(v, params.field) for v in ct.values]
         print(f"{symbol!r} -> values {ints}")
+    # after the last letter: a command that exits 2 serializes nothing
+    records = [serialize_ciphertext(params, ct) for ct in cts]
     _write_file(args.out, b"\n".join(records) + b"\n")
     print(f"wrote {args.out} ({len(records)} record(s))")
     return EX_OK

@@ -83,19 +83,20 @@ class ExchangeMatrix:
         return "\n".join(lines)
 
 
-def matrix_mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
-    """Mutation at vertex k; the input is unchanged.
+def mutate_rows(rows: Rows, k: int) -> Rows:
+    """The mutation rule at vertex k on bare rows, k in [0, n); unchecked.
 
     Only row k and the rows i with b_ik != 0 change; every other row is
     shared as it is, since b_ij moves only when b_ik and b_kj are nonzero.
+    Mutation keeps a skew-symmetrizable matrix skew-symmetrizable, with
+    the same symmetrizer (Fomin-Zelevinsky, "Cluster algebras I", J. AMS
+    15 (2002), Prop. 4.5), so the rows it makes from a Dynkin matrix are
+    always those of a valid ExchangeMatrix, and a walk from one needs
+    building as a checked matrix only where it stops.
     """
-    n = matrix.n
-    if not 0 <= k < n:
-        raise InvalidVertexError(f"vertex {k} outside [0, {n})")
-    b = matrix.rows
-    row_k = b[k]
-    new_rows = list(b)
-    for i, row in enumerate(b):
+    row_k = rows[k]
+    new_rows = list(rows)
+    for i, row in enumerate(rows):
         b_ik = row[k]
         if b_ik:  # never i == k: the diagonal is zero
             abs_ik = abs(b_ik)
@@ -103,7 +104,15 @@ def matrix_mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
             new_row[k] = -b_ik
             new_rows[i] = tuple(new_row)
     new_rows[k] = tuple(-x for x in row_k)
-    return ExchangeMatrix(tuple(new_rows))
+    return tuple(new_rows)
+
+
+def matrix_mutate(matrix: ExchangeMatrix, k: int) -> ExchangeMatrix:
+    """Mutation at vertex k, checked; the input is unchanged."""
+    n = matrix.n
+    if not 0 <= k < n:
+        raise InvalidVertexError(f"vertex {k} outside [0, {n})")
+    return ExchangeMatrix(mutate_rows(matrix.rows, k))
 
 
 def cartan_counterpart(matrix: ExchangeMatrix) -> Rows:

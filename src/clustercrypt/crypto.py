@@ -12,9 +12,12 @@ the key's path depend only on the diagram and the key. So the key's
 schedule is the initial matrix, the row each step reads and the final
 matrix: validated and built once per key object, kept on that object,
 and reused for every record it encrypts or decrypts. Each cipher step
-then does only field work. Decryption walks the same rows backward: the
-reverse step reads the row negated, which swaps the two monomials of
-the exchange relation and leaves its value alone.
+then does only field work. The schedule walks bare rows and checks only
+the final matrix: mutation keeps the Dynkin matrix skew-symmetrizable,
+so the matrices between cannot fail the check (cluster.mutate_rows).
+Decryption walks the same rows backward: the reverse step reads the row
+negated, which swaps the two monomials of the exchange relation and
+leaves its value alone.
 
 The fast path mutates numerically in GF(p^r). The reference path mirrors
 the textbook presentation -- mutate symbolically, substitute the message
@@ -28,14 +31,18 @@ built in code and one read from a file meet the same rule; the loader
 turns any failure while building into a ParseError. A ciphertext record
 repeats the params as its header; the reader checks that header against
 the params the caller already holds and builds only the matrix and the
-values, so the field is validated once per command, not once per record.
+values, so the field is not validated again per record. Params that
+validated are kept per process, keyed by the canonical bytes of their
+four fields (the bytes a record header is compared by), so each params
+file is validated once per process, not once per command; key files
+are not kept, since a key's schedule lives exactly as long as the key.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from random import Random
 from typing import Optional, Union
 
@@ -46,7 +53,7 @@ from .cluster import (
     Rows,
     apply_sequence,
     dynkin_exchange_matrix,
-    matrix_mutate,
+    mutate_rows,
     numeric_mutate,
 )
 from .errors import (
@@ -137,7 +144,11 @@ class CiphertextSeed:
             raise InvalidSpecError(
                 f"{len(self.values)} values for a rank-{self.matrix.n} matrix"
             )
-        values = tuple(tuple(require_int(d, "digit") for d in v) for v in self.values)
+        values = tuple(map(tuple, self.values))
+        if not all(type(d) is int for v in values for d in v):
+            for v in values:
+                for d in v:
+                    require_int(d, "digit")
         object.__setattr__(self, "values", values)
 
 
@@ -173,14 +184,30 @@ class SystemParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemParams":
-        _require_fields(d, ("p", "r", "f", "diagram"))
-        diagram = d["diagram"]
-        if not isinstance(diagram, dict):
-            raise ParseError("diagram is not an object")
-        _require_fields(diagram, ("family", "rank"), "diagram ")
-        orientation = diagram.get("orientation", "default")
-        spec = DynkinSpec(diagram["family"], diagram["rank"], orientation)
-        return cls(FieldParams.from_dict(d), spec)
+        """The params of fields p, r, f and diagram; other fields are ignored.
+
+        Equal fields, compared as canonical bytes, give the same object:
+        the last 8 distinct params are kept, so a params file is built and
+        validated once per process, not once per command.
+        """
+        _require_fields(d, _PARAMS_FIELDS)
+        return _params_from_header(_canonical_bytes({name: d[name] for name in _PARAMS_FIELDS}))
+
+
+_PARAMS_FIELDS = ("p", "r", "f", "diagram")
+
+
+@lru_cache(maxsize=8)
+def _params_from_header(header: bytes) -> SystemParams:
+    """Build and validate params from their canonical bytes; a failure is not kept."""
+    d = json.loads(header)
+    diagram = d["diagram"]
+    if not isinstance(diagram, dict):
+        raise ParseError("diagram is not an object")
+    _require_fields(diagram, ("family", "rank"), "diagram ")
+    orientation = diagram.get("orientation", "default")
+    spec = DynkinSpec(diagram["family"], diagram["rank"], orientation)
+    return SystemParams(FieldParams.from_dict(d), spec)
 
 
 # --- message codec -----------------------------------------------------------
@@ -303,7 +330,9 @@ def _schedule(
 
     The key is validated and the rows built once per key object and
     diagram; the result is kept on the key, as FieldParams keeps its
-    packed rows, so it lives exactly as long as the key does.
+    packed rows, so it lives exactly as long as the key does. The walk
+    is on bare rows: M_0 is skew-symmetrizable and mutation keeps it so
+    (cluster.mutate_rows), so only M_t is built as a checked matrix.
     """
     initial = params.initial_matrix()
     schedule = getattr(key, "_schedule", None)
@@ -312,11 +341,11 @@ def _schedule(
     violations = validate_key(key, initial)
     if violations:
         raise InvalidKeyError(violations)
-    rows, matrix = [], initial
+    rows, current = [], initial.rows
     for k in key.seq:
-        rows.append(matrix.rows[k])
-        matrix = matrix_mutate(matrix, k)
-    schedule = (initial, tuple(rows), matrix)
+        rows.append(current[k])
+        current = mutate_rows(current, k)
+    schedule = (initial, tuple(rows), ExchangeMatrix(current))
     object.__setattr__(key, "_schedule", schedule)
     return schedule
 
@@ -482,15 +511,17 @@ def _read_object(data: bytes, build):
         raise
     except (KeyError, TypeError, ValueError, ClusterCryptError) as exc:
         raise ParseError(str(exc)) from exc
+    except RecursionError as exc:  # a value nested almost as deep as json allows
+        raise ParseError("bad JSON: nested too deeply") from exc
 
 
 def _ciphertext_from_dict(params: SystemParams, payload: dict) -> CiphertextSeed:
     version = payload.get("v")
     if type(version) is not int or version != WIRE_VERSION:
         raise ParseError(f"unsupported version {version!r}")
-    _require_fields(payload, ("p", "r", "f", "diagram", "matrix", "values"))
+    _require_fields(payload, _PARAMS_FIELDS + ("matrix", "values"))
     # bytes, not dicts: 2.0 == 2 and True == 1 in Python
-    header = {name: payload[name] for name in ("p", "r", "f", "diagram")}
+    header = {name: payload[name] for name in _PARAMS_FIELDS}
     if _canonical_bytes(header) != params._header:
         SystemParams.from_dict(header)  # a malformed header names its own fault
         raise ParseError("ciphertext params do not match --params")

@@ -436,7 +436,9 @@ class TestEncryptDecrypt:
     def test_decrypt_validates_the_field_once(
         self, ex1_files, tmp_path, capsys, monkeypatch
     ):
-        # each record is read against --params, not rebuilt from its header
+        # each record is read against --params, not rebuilt from its header,
+        # and a params file is validated once per process: a first command
+        # tests the modulus once, a second one not at all
         params, key = ex1_files
         out = tmp_path / "ct.json"
         files = ["--params", str(params), "--key", str(key)]
@@ -449,8 +451,12 @@ class TestEncryptDecrypt:
             return original(*args)
 
         monkeypatch.setattr(fields, "is_irreducible", counting)
+        crypto._params_from_header.cache_clear()
         assert main(["decrypt", *files, "--ciphertext", str(out)]) == 0
         assert len(calls) == 1
+        calls.clear()
+        assert main(["decrypt", *files, "--ciphertext", str(out)]) == 0
+        assert calls == []
 
     def test_decrypt_builds_the_params_header_once(
         self, ex1_files, tmp_path, capsys, monkeypatch
@@ -516,17 +522,17 @@ class TestEncryptDecrypt:
     def test_key_schedule_is_built_once_per_command(
         self, ex1_files, tmp_path, monkeypatch
     ):
-        # M_1..M_t depend on the key alone: each command mutates the matrix
+        # M_1..M_t depend on the key alone: each command mutates the rows
         # once per key step, however many records it handles
         params, key = ex1_files
         calls = []
         for module in (crypto, cluster):
 
-            def counting(matrix, k, _original=module.matrix_mutate):
+            def counting(rows, k, _original=module.mutate_rows):
                 calls.append(k)
-                return _original(matrix, k)
+                return _original(rows, k)
 
-            monkeypatch.setattr(module, "matrix_mutate", counting)
+            monkeypatch.setattr(module, "mutate_rows", counting)
         out = tmp_path / "ct.json"
         files = ["--params", str(params), "--key", str(key)]
         assert main(["encrypt", *files, "--message", "HELLO", "--out", str(out)]) == 0

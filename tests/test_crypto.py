@@ -10,7 +10,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clustercrypt import crypto
-from clustercrypt.cluster import DynkinSpec, ExchangeMatrix, apply_sequence, matrix_mutate
+from clustercrypt.cluster import (
+    DynkinSpec,
+    ExchangeMatrix,
+    apply_sequence,
+    dynkin_edges,
+    dynkin_exchange_matrix,
+    matrix_mutate,
+)
 from clustercrypt.crypto import (
     DEFAULT_ALPHABET,
     CiphertextSeed,
@@ -45,6 +52,7 @@ from clustercrypt.fields import (
     FieldParams,
     element_to_int,
     int_to_element,
+    is_irreducible,
 )
 from clustercrypt.known_answers import EXAMPLE_1, EXAMPLE_2
 
@@ -89,6 +97,92 @@ class TestSystemParams:
 
     def test_dict_round_trip(self):
         assert SystemParams.from_dict(EX2.to_dict()) == EX2
+
+    def test_letter_message_needs_an_alphabet(self):
+        params = SystemParams(FieldParams(2, 2, (1, 1, 1)), DynkinSpec("A", 2), alphabet=None)
+        with pytest.raises(
+            UnknownSymbolError, match="^no alphabet configured for letter messages$"
+        ):
+            encode_message("A", params)
+        assert encode_message(3, params) == (1, 1)
+
+
+def gf2_moduli(r):
+    """The monic irreducible polynomials of degree r over GF(2), in integer order."""
+    for n in range(2**r):
+        f = [*(n >> i & 1 for i in range(r)), 1]
+        if is_irreducible(f, 2):
+            yield f
+
+
+def gf32_params(f, diagram=None):
+    """Params file bytes over GF(2^5) with modulus f, diagram A5 by default."""
+    payload = {"p": 2, "r": 5, "f": f, "diagram": diagram or {"family": "A", "rank": 5}}
+    return json.dumps(payload).encode()
+
+
+class TestParamsMemo:
+    # a params file is validated once per process: equal fields give the
+    # same object, in a bounded cache that keeps no failure
+
+    def setup_method(self):
+        crypto._params_from_header.cache_clear()
+
+    def teardown_method(self):
+        crypto._params_from_header.cache_clear()
+
+    def test_equal_canonical_headers_give_the_same_object(self):
+        blob = serialize_params(EX1)
+        assert deserialize_params(blob) is deserialize_params(blob)
+        assert SystemParams.from_dict(EX2.to_dict()) is SystemParams.from_dict(EX2.to_dict())
+
+    def test_spellings_of_one_params_file_share_one_entry(self):
+        payload = json.loads(serialize_params(EX1))
+        ct = encrypt(EX1, EX1_KEY, encode_message("F", EX1))
+        record = serialize_ciphertext(EX1, ct)
+        blobs = [
+            serialize_params(EX1),
+            json.dumps(payload, indent=4).encode(),
+            json.dumps(dict(reversed(payload.items()))).encode(),
+            b" \n" + json.dumps(payload, separators=(" , ", " : ")).encode() + b"\n",
+            record,  # a record line's own header
+        ]
+        first = deserialize_params(blobs[0])
+        assert all(deserialize_params(blob) is first for blob in blobs)
+        info = crypto._params_from_header.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert deserialize_ciphertext(record, first) == ct
+
+    def test_failing_params_raise_the_same_error_and_are_not_stored(self, monkeypatch):
+        calls = []
+        original = crypto.fields.is_irreducible
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(crypto.fields, "is_irreducible", counting)
+        blob = gf32_params([1, 1, 0, 0, 0, 1])  # x^5 + x + 1 = (x^2+x+1)(x^3+x^2+1)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(ParseError, match="reducible") as caught:
+                deserialize_params(blob)
+            messages.append(str(caught.value))
+        assert messages == [messages[0]] * 3
+        assert len(calls) == 3  # validated again on every call
+        assert crypto._params_from_header.cache_info().currsize == 0
+
+    def test_more_than_eight_params_evict_the_oldest(self):
+        diagrams = [
+            {"family": "A", "rank": 5, "orientation": [[0, 1], [1, 2], [2, 3], [3, 4]]},
+            {"family": "D", "rank": 5},
+        ]
+        blobs = [gf32_params(f, diagram) for f in gf2_moduli(5) for diagram in diagrams][:9]
+        built = [deserialize_params(blob) for blob in blobs]
+        assert crypto._params_from_header.cache_info().currsize == 8
+        assert all(deserialize_params(blob) is params for blob, params in zip(blobs[1:], built[1:]))
+        again = deserialize_params(blobs[0])
+        assert again == built[0] and again is not built[0]
 
 
 class TestMessageCodec:
@@ -136,6 +230,13 @@ class TestMessageCodec:
     def test_decode_zero_rejected(self):
         with pytest.raises(ZeroMessageError):
             decode_message(EX1.field.zero(), EX1)
+
+
+class TestCiphertextSeed:
+    def test_more_values_than_the_matrix_rank(self):
+        ct = encrypt(EX1, EX1_KEY, encode_message("F", EX1))
+        with pytest.raises(InvalidSpecError, match="^6 values for a rank-5 matrix$"):
+            CiphertextSeed(ct.values + ct.values[:1], ct.matrix)
 
 
 class TestConstructorIntegers:
@@ -369,6 +470,15 @@ class TestDecrypt:
                 with pytest.raises(CorruptOrWrongKeyError):
                     decrypt(EX1, EX1_KEY, tampered)
 
+    def test_record_of_another_rank_is_caught(self):
+        # a CiphertextSeed built in code, not read against the params
+        ct = encrypt(EX1, EX1_KEY, encode_message("F", EX1))
+        other = CiphertextSeed(ct.values[:4], dynkin_exchange_matrix(DynkinSpec("A", 4)))
+        with pytest.raises(
+            CorruptOrWrongKeyError, match="^ciphertext rank 4 != field degree 5$"
+        ):
+            decrypt(EX1, EX1_KEY, other)
+
     def test_wrong_key_is_caught(self):
         ct = encrypt(EX1, EX1_KEY, encode_message("F", EX1))
         wrong = SecretKey(0, (1, 4, 0, 3, 2))
@@ -434,6 +544,44 @@ class TestDecrypt:
         # the schedule walk returns the message only once every other
         # position is back at alpha^i
         assert decrypt(params, key, ct) == message
+
+
+def _over_gf2(spec: DynkinSpec) -> SystemParams:
+    """spec over GF(2^rank), modulus the first irreducible one in integer order."""
+    f = next(gf2_moduli(spec.rank))
+    return SystemParams(FieldParams(2, spec.rank, tuple(f)), spec, alphabet=None)
+
+
+def _lower_to_higher(family, rank):
+    """Every diagram edge directed from its lower vertex: not the default."""
+    return tuple((i, j) for i, j, _, _ in dynkin_edges(family, rank))
+
+
+SCHEDULE_PARAMS = [
+    _over_gf2(spec)
+    for spec in (
+        *(DynkinSpec(f, n) for f, n in (("A", 2), ("A", 5), ("A", 8), ("B", 3), ("B", 5))),
+        *(DynkinSpec(f, n) for f, n in (("C", 4), ("D", 4), ("D", 7), ("E", 6), ("E", 7))),
+        *(DynkinSpec(f, n) for f, n in (("E", 8), ("F", 4), ("G", 2))),
+        *(DynkinSpec(f, n, _lower_to_higher(f, n)) for f, n in (("A", 5), ("D", 6), ("E", 7))),
+    )
+]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(SCHEDULE_PARAMS), st.integers(0, 2**32 - 1), st.integers(2, 30))
+def test_bare_row_schedule_matches_the_checked_chain(params, rng_seed, t):
+    # the schedule walks unchecked rows and checks only M_t; the chain of
+    # checked matrix_mutate steps must read the same rows and end at M_t
+    key = keygen(rng_seed, params, t)
+    initial, rows, final = crypto._schedule(params, key)
+    matrix, expected = params.initial_matrix(), []
+    for k in key.seq:
+        expected.append(matrix.rows[k])
+        matrix = matrix_mutate(matrix, k)
+    assert initial == params.initial_matrix()
+    assert rows == tuple(expected)
+    assert final == matrix
 
 
 @st.composite
@@ -621,6 +769,29 @@ class TestWireFormat:
     def test_deep_nesting_is_a_parse_error(self, reader):
         with pytest.raises(ParseError, match="nested too deeply"):
             reader(b"[" * 100_000)
+
+    @pytest.mark.parametrize(
+        "reader,template",
+        [
+            (
+                deserialize_params,
+                b'{"p":%s,"r":5,"f":[1,0,1,0,0,1],"diagram":{"family":"A","rank":5}}',
+            ),
+            (
+                partial(deserialize_ciphertext, params=EX1),
+                b'{"v":1,"p":%s,"r":5,"f":[1,0,1,0,0,1],"diagram":{"family":"A","rank":5},'
+                b'"matrix":[],"values":[]}',
+            ),
+            (deserialize_key, b'{"k0":%s,"seq":[1]}'),
+        ],
+        ids=["params", "record-header", "key"],
+    )
+    def test_nesting_just_inside_the_json_limit_is_a_parse_error(self, reader, template):
+        # json.loads accepts these, and building from them can still run out
+        # of stack; the depth where that happens moves with the caller's own
+        for depth in range(900, 1000):
+            with pytest.raises(ParseError):
+                reader(template % (b"[" * depth + b"]" * depth))
 
     @pytest.mark.parametrize("reader", [deserialize_key, deserialize_params])
     def test_non_utf8_is_a_parse_error_with_position(self, reader):
