@@ -23,7 +23,8 @@ Above TABLE_MAX_Q a product is one integer multiply: the packed multiply
 puts each operand's digits into fixed-width slots of one int, wide
 enough that no slot carries into the next, folds the high slots with
 packed rows x^(r+i) mod f and reduces each low slot mod p; an inverse
-is extended Euclid. Digit tuples stay the interface and the wire form.
+is extended Euclid on packed ints too. Both need digits in [0, p).
+Digit tuples stay the interface and the wire form.
 
 Integers are checked where values are built, not where files are read:
 `require_int` admits only int (no bool, float or str) and raises
@@ -32,11 +33,12 @@ int_to_element call it, so nothing is truncated on any path.
 
 FieldParams accepts p <= MAX_P and r <= MAX_R, checked before the
 modulus is tested. p then stays where is_prime's Miller-Rabin bases are
-deterministic, and a packed slot is at most 58 bits wide. The modulus
-is tested by Ben-Or's degree loop (is_irreducible): at most r/2 = 16
-rounds of one p-th power and one gcd mod f, about 0.1 s for degree 30
-or 32 over GF(65521) on a shared 2-vCPU host. Tested ranges are
-p <= 101 and r <= 8.
+deterministic, a packed product slot is at most 58 bits wide and an
+inverse's slot at most 561. The modulus is tested by Ben-Or's degree
+loop (is_irreducible): at most r/2 = 16 rounds of one p-th power and
+one gcd mod f, about 0.1 s for degree 30 or 32 over GF(65521) on a
+shared 2-vCPU host. Tested ranges are p <= 101 and r <= 8, and to
+GF(65521^8) and GF(2^32) for the field arithmetic.
 """
 
 from __future__ import annotations
@@ -141,8 +143,6 @@ def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
 
 def _pmod(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     """Remainder of a divided by b, cancelling a's leading term each step."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
     top = len(b) - 1
     inv_lead = fp_inv(b[-1], p)
@@ -244,6 +244,12 @@ class FieldParams:
             for i in range(r - 1)
         )
         object.__setattr__(self, "_packing", (width, (1 << width) - 1, shifts, rows))
+        # ext_inv's slots hold (p - 1)(2p - 1)^r and a spare bit
+        width = ((p - 1) * (2 * p - 1) ** r).bit_length() + 1
+        shifts = tuple(range(0, (r + 1) * width, width))
+        masks = tuple((1 << s) - 1 for s in shifts)
+        packed_f = sum(c << s for c, s in zip(f, shifts))
+        object.__setattr__(self, "_euclid", (width, masks[1], shifts, masks, packed_f))
         # () until the first multiply, inverse or power attaches (log, exp)
         # (_attach_tables); None above TABLE_MAX_Q. A plain attribute, not a
         # cached_property: that one reads the instance __dict__, and a read
@@ -321,10 +327,19 @@ def ext_mul(a: Element, b: Element, params: FieldParams) -> Element:
 def ext_inv(a: Element, params: FieldParams) -> Element:
     """Inverse: exp[(q - 1) - log a] for q <= TABLE_MAX_Q.
 
-    Above it, extended Euclid on polynomials mod f. It keeps
-    t * a == rem (mod f) for the pairs (t, rem) and (new_t, new_rem),
-    dividing rem by new_rem in place, until new_rem is a nonzero constant:
-    f is irreducible, so gcd(a, f) is a unit.
+    Above it, extended Euclid: t * a == rem (mod f) holds for the pairs
+    (t, rem) and (new_t, new_rem) while rem is divided by new_rem in place,
+    until new_rem is a nonzero constant (f is irreducible). Each is one
+    int, slot i holding coefficient i unreduced: rem -= c x^s new_rem is
+    rem's low slots plus (p - c) times new_rem's shifted, and t gains
+    (p - c) x^s new_t. Only leading slots and the result are reduced mod p.
+
+    No slot exceeds (p - 1)(2p - 1)^r. Slots start below p; an elimination
+    adds at most p - 1 times the other pair's largest slot, so a round of
+    e eliminations multiplies the largest by at most 1 + e(p - 1); n <= r - 1
+    rounds make at most r + n eliminations. log(1 + e(p - 1)) is concave,
+    so the product is at most (p + r(p - 1)/n)^n, which grows with n to
+    (2p - 1)^r at n = r.
     """
     if not any(a):
         raise NonInvertibleError("zero element has no inverse")
@@ -333,28 +348,28 @@ def ext_inv(a: Element, params: FieldParams) -> Element:
         log, exp = tables or _attach_tables(params)
         return exp[len(log) - log[a]]
     p = params.p
-    t, new_t = [0], [1]
-    rem, new_rem = list(params.f), _trim(list(a))
-    while len(new_rem) > 1:
-        top = len(new_rem) - 1
-        inv_lead = pow(new_rem[top], -1, p)
-        low = new_rem[:top]
-        while len(rem) > top:
-            # rem -= c x^shift new_rem, dropping the cancelled leading term
-            c = rem.pop() * inv_lead % p
-            shift = len(rem) - top
-            for j, y in enumerate(low, shift):
-                rem[j] = (rem[j] - c * y) % p
-            while not rem[-1]:
-                rem.pop()
-            t += [0] * (shift + len(new_t) - len(t))
-            for j, y in enumerate(new_t, shift):
-                t[j] = (t[j] - c * y) % p
-        t, new_t = new_t, t
-        rem, new_rem = new_rem, rem
-    inv_c = pow(new_rem[0], -1, p)
-    out = [c * inv_c % p for c in new_t] + [0] * params.r
-    return tuple(out[: params.r])
+    width, mask, shifts, masks, rem = params._euclid
+    new_rem = 0
+    for c in reversed(a):
+        new_rem = new_rem << width | c
+    t, new_t = 0, 1
+    deg, top = params.r, (new_rem.bit_length() - 1) // width
+    while top:
+        inv_lead = pow(new_rem >> shifts[top] & mask, -1, p)
+        low = new_rem & masks[top]
+        while deg >= top:
+            minus_c = p - (rem >> shifts[deg] & mask) * inv_lead % p
+            s = shifts[deg - top]
+            rem = (rem & masks[deg]) + (minus_c * low << s)
+            t += minus_c * new_t << s
+            deg -= 1
+            while not (rem >> shifts[deg] & mask) % p:
+                if not deg:  # rem = 0: only a reducible f shares a factor with a
+                    raise NonInvertibleError(f"{a} shares a factor with the modulus")
+                deg -= 1
+        t, new_t, rem, new_rem, deg, top = new_t, t, new_rem, rem, top, deg
+    inv_c = pow(new_rem & mask, -1, p)
+    return tuple([(new_t >> s & mask) * inv_c % p for s in shifts[:-1]])
 
 
 def ext_pow(a: Element, e: int, params: FieldParams) -> Element:

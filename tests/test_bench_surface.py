@@ -15,7 +15,7 @@ import pytest
 import clustercrypt
 from clustercrypt import cli, crypto, fields, symbolic
 from clustercrypt.cluster import dynkin_exchange_matrix, numeric_mutate
-from clustercrypt.known_answers import EXAMPLE_1
+from clustercrypt.known_answers import EXAMPLE_1, EXAMPLE_2
 
 EX1_PARAMS, EX1_KEY = EXAMPLE_1.params, EXAMPLE_1.key
 
@@ -56,6 +56,13 @@ def test_microbenchmark_call_shapes():
     assert fields.ext_mul(a, fields.ext_inv(a, field), field) == one
     assert fields.ext_mul(a, b, field) == fields.ext_mul(b, a, field)
     assert fields.ext_pow(a, field.q - 1, field) == one
+    # session-large's GF(101^7) has no tables, so there the traced
+    # fields.ext_inv name times the extended Euclid
+    large = EXAMPLE_2.params.field
+    assert large._tables is None
+    for value in EXAMPLE_2.values:
+        c = fields.int_to_element(value, large)
+        assert fields.ext_mul(c, fields.ext_inv(c, large), large) == large.one()
     # worked example 1 again, through the symbolic oracle the harness times
     matrix = dynkin_exchange_matrix(EX1_PARAMS.diagram)
     initial = symbolic.initial_symbolic_seed(matrix, field.p)

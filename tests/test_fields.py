@@ -113,6 +113,10 @@ class TestIrreducibility:
         # f(0) = 0: x divides f
         assert not is_irreducible([0, 46, 0, 1, 1, 0, 74, 0, 1], 101)
 
+    def test_nonprime_characteristic_rejected(self):
+        with pytest.raises(InvalidPolynomialError, match="^4 is not prime$"):
+            is_irreducible([1, 1, 1], 4)
+
 
 def _monic_polys(degree, p):
     """All monic polynomials of exactly the given degree over Z_p."""
@@ -141,6 +145,22 @@ class TestFieldParams:
     def test_nonmonic_rejected(self):
         with pytest.raises(InvalidPolynomialError):
             FieldParams(p=5, r=2, f=(1, 1, 2))
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(InvalidPolynomialError, match="^r=0 must be >= 1$"):
+            FieldParams(p=2, r=0, f=(1,))
+
+    @pytest.mark.parametrize("f", [(1, 1), (1, 1, 1, 1)], ids=["short", "long"])
+    def test_coefficient_count_checked(self, f):
+        with pytest.raises(
+            InvalidPolynomialError, match=rf"^modulus needs 3 coefficients, got {len(f)}$"
+        ):
+            FieldParams(p=2, r=2, f=f)
+
+    @pytest.mark.parametrize("i", [-1, 5])
+    def test_alpha_power_outside_the_basis(self, i):
+        with pytest.raises(OutOfRangeError, match=rf"^alpha power {i} outside \[0, 5\)$"):
+            GF32.alpha_power(i)
 
     def test_dict_round_trip(self):
         assert FieldParams.from_dict(GF32.to_dict()) == GF32
@@ -239,15 +259,26 @@ class TestExtensionArithmetic:
             assert ext_pow(a, params.q, params) == a
 
 
+# The extremes of ext_inv's slot width (p - 1)(2p - 1)^r: the widest
+# tested slots, the most slots (r = MAX_R) and one step past GF(101^7).
+# Each modulus is the first is_irreducible found with as many digits p - 1
+# (at p = 2, digits 1) as it could keep, so that the Euclid runs dense.
+GF65521_8 = FieldParams(p=fields.MAX_P, r=8, f=(65520, 65515) + (65520,) * 6 + (1,))
+GF2_32 = FieldParams(p=2, r=fields.MAX_R, f=(1, 0, 1, 0) + (1,) * 29)
+GF101_8 = FieldParams(p=101, r=8, f=(100,) * 8 + (1,))
+WIDE_FIELDS = [GF65521_8, GF2_32, GF101_8]
+WIDE_IDS = ["gf65521^8", "gf2^32", "gf101^8"]
+
 REFERENCE_FIELDS = [
     GF32,
     GF101_7,
     FieldParams(p=7, r=2, f=(1, 0, 1)),
     FieldParams(p=3, r=4, f=(2, 1, 0, 0, 1)),
     FieldParams(p=13, r=1, f=(5, 1)),
-    FieldParams(p=fields.MAX_P, r=3, f=(3, 1, 0, 1)),  # the widest slots
+    FieldParams(p=fields.MAX_P, r=3, f=(3, 1, 0, 1)),  # the widest product slots
+    *WIDE_FIELDS,
 ]
-REFERENCE_IDS = ["gf2^5", "gf101^7", "gf7^2", "gf3^4", "gf13", "gf65521^3"]
+REFERENCE_IDS = ["gf2^5", "gf101^7", "gf7^2", "gf3^4", "gf13", "gf65521^3", *WIDE_IDS]
 
 
 def _reference_mul(a, b, params):
@@ -288,6 +319,35 @@ class TestAgainstPolynomialReference:
         for _ in range(100):
             a = fields.random_element(rng, params, nonzero=True)
             assert _reference_mul(a, ext_inv(a, params), params) == params.one()
+
+    @pytest.mark.parametrize("params", [GF101_7, *WIDE_FIELDS], ids=["gf101^7", *WIDE_IDS])
+    def test_inverse_of_sparse_and_full_elements(self, params):
+        # d alpha^j for d = 1 and p - 1 (the constants and every alpha^j
+        # among them) and all digits p - 1: the Euclid's shortest runs and
+        # its largest slots
+        p, r = params.p, params.r
+        elements = [(p - 1,) * r]
+        for digit in sorted({1, p - 1}):
+            for j in range(r):
+                elements.append(tuple(digit if i == j else 0 for i in range(r)))
+        for a in elements:
+            assert _reference_mul(a, ext_inv(a, params), params) == params.one(), a
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.sampled_from([GF101_7, *WIDE_FIELDS]), st.data())
+    def test_inverse_property(self, params, data):
+        digits = st.integers(0, params.p - 1)
+        a = data.draw(st.tuples(*[digits] * params.r).filter(any))
+        assert _reference_mul(a, ext_inv(a, params), params) == params.one()
+
+    def test_inverse_under_a_reducible_modulus_raises(self, monkeypatch):
+        # FieldParams admits no such modulus; with its test bypassed, x
+        # divides x^2, and the Euclid raises before its strip runs past slot 0
+        monkeypatch.setattr(fields, "is_irreducible", lambda *args: True)
+        reducible = FieldParams(p=101, r=2, f=(0, 0, 1))
+        message = r"^\(0, 1\) shares a factor with the modulus$"
+        with pytest.raises(NonInvertibleError, match=message):
+            ext_inv((0, 1), reducible)
 
     @pytest.mark.parametrize("params", REFERENCE_FIELDS, ids=REFERENCE_IDS)
     def test_pow_matches_repeated_multiplication(self, params):
