@@ -15,10 +15,18 @@ common monomial content, as the constructor does, puts such a fraction
 in lowest terms. A failed exact division in mutation, or a canonical key
 asked of a fraction over a non-monomial, raises instead of being patched
 over.
+
+`render` writes and `parse` reads one strict grammar, with spaces ignored
+and digits a run of decimal digits (no sign, no underscore):
+    rational := poly ["/" poly]
+    poly := "(" poly ")" | term (("+" | "-") term)*
+    term := factor ("*" factor)*,  factor := digits | "x" digits ["^" digits]
+Other text raises ParseError at the first character that cannot be read.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -68,22 +76,8 @@ class Polynomial:
         return cls(nvars, p, {})
 
     @classmethod
-    def constant(cls, c: int, nvars: int, p: int) -> "Polynomial":
-        return cls(nvars, p, {(0,) * nvars: c})
-
-    @classmethod
     def one(cls, nvars: int, p: int) -> "Polynomial":
-        return cls.constant(1, nvars, p)
-
-    @classmethod
-    def variable(cls, i: int, nvars: int, p: int) -> "Polynomial":
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(nvars, p, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, exps: Exponents, c: int, nvars: int, p: int) -> "Polynomial":
-        return cls(nvars, p, {tuple(exps): c})
+        return cls(nvars, p, {(0,) * nvars: 1})
 
     # -- predicates and views
 
@@ -105,9 +99,6 @@ class Polynomial:
     def leading(self) -> tuple[Exponents, int]:
         exps = max(self.terms, key=_order_key)
         return exps, self.terms[exps]
-
-    def sorted_terms(self) -> list[tuple[Exponents, int]]:
-        return sorted(self.terms.items(), key=lambda t: _order_key(t[0]))
 
     # -- arithmetic
 
@@ -243,7 +234,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         pieces = []
-        for exps, c in self.sorted_terms():
+        for exps, c in sorted(self.terms.items(), key=lambda t: _order_key(t[0])):
             factors = []
             if c != 1 or not any(exps):
                 factors.append(str(c))
@@ -257,82 +248,60 @@ class Polynomial:
 
     @classmethod
     def parse(cls, text: str, nvars: int, p: int) -> "Polynomial":
-        return _parse_polynomial(text, nvars, p)
+        """Read poly := "(" poly ")" | term (("+" | "-") term)* (module docstring);
+        other text raises ParseError at its first unreadable character.
+        """
+        (poly,) = _read(text, nvars, p, 1)
+        return poly
 
 
-def _strip_outer_parens(s: str) -> str:
-    s = s.strip()
-    while s.startswith("(") and s.endswith(")"):
-        depth = 0
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0 and i != len(s) - 1:
-                    return s
-        s = s[1:-1].strip()
-    return s
-
-
-def _split_top(s: str, separators: str) -> list[tuple[str, str]]:
-    """Split at depth-0 separator characters; returns (sep, chunk) pairs."""
-    parts = []
-    depth = 0
-    current = []
-    sep = ""
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced parentheses", position=i)
-        if depth == 0 and ch in separators and (current or sep):
-            parts.append((sep, "".join(current)))
-            sep = ch
-            current = []
-        else:
-            current.append(ch)
-    parts.append((sep, "".join(current)))
-    if depth != 0:
-        raise ParseError("unbalanced parentheses", position=len(s))
-    return parts
-
-
-def _parse_polynomial(text: str, nvars: int, p: int) -> Polynomial:
-    s = _strip_outer_parens(text.replace(" ", ""))
-    if not s:
-        raise ParseError("empty polynomial", position=0)
-    total = Polynomial.zero(nvars, p)
-    for sign, chunk in _split_top(s, "+-"):
-        if not chunk:
-            raise ParseError("empty term", position=0)
-        coeff = 1
-        exps = [0] * nvars
-        for _, factor in _split_top(chunk, "*"):
-            factor = factor.strip()
-            if not factor:
-                raise ParseError("empty factor", position=0)
-            if factor[0] == "x":
-                var_part, _, exp_part = factor[1:].partition("^")
-                try:
-                    v = int(var_part)
-                    e = int(exp_part) if exp_part else 1
-                except ValueError as exc:
-                    raise ParseError(f"bad factor {factor!r}") from exc
-                if not 0 <= v < nvars:
-                    raise ParseError(f"variable x{v} outside 0..{nvars - 1}")
-                exps[v] += e
+def _read(text: str, nvars: int, p: int, parts: int) -> list[Polynomial]:
+    """The polynomials of text, at most `parts` of them split by '/'."""
+    s = text.replace(" ", "")
+    # compiled on the first call and cached by re, so importing compiles nothing
+    factor = re.compile(r"(?:(\d+)|x(\d+)(?:\^(\d+))?)([-+*]?)")
+    polys, at = [], 0
+    while True:
+        opened = len(s) - at - len(s[at:].lstrip("("))
+        at += opened
+        terms, coeff, exps, op = {}, 1, [0] * nvars, "+"
+        while op:
+            m = factor.match(s, at)
+            if m is None:
+                raise _unreadable(text, at)
+            digits, var, power, op = m.groups()
+            try:
+                number, e = int(digits or var), int(power or 1)
+            except ValueError:  # past int's limit on digits
+                raise _unreadable(text, at, "too many digits") from None
+            if var is None:
+                coeff *= number
+            elif number < nvars:
+                exps[number] += e
             else:
-                try:
-                    coeff *= int(factor)
-                except ValueError as exc:
-                    raise ParseError(f"bad factor {factor!r}") from exc
-        if sign == "-":
-            coeff = -coeff
-        total = total + Polynomial.monomial(tuple(exps), coeff, nvars, p)
-    return total
+                raise _unreadable(text, at, f"variable x{number} outside 0..{nvars - 1}")
+            at = m.end()
+            if op != "*":
+                terms[tuple(exps)] = terms.get(tuple(exps), 0) + coeff
+                coeff, exps = (-1 if op == "-" else 1), [0] * nvars
+        if not s.startswith(")" * opened, at):
+            raise _unreadable(text, len(s) - len(s[at:].lstrip(")")))
+        polys.append(Polynomial(nvars, p, terms))
+        at += opened
+        if len(polys) == parts or s[at : at + 1] != "/":
+            break
+        at += 1
+    if at != len(s):
+        raise _unreadable(text, at)
+    return polys
+
+
+def _unreadable(text: str, at: int, message: str = "") -> ParseError:
+    """ParseError at the at-th non-space character of text, or at its end."""
+    position = ([i for i, ch in enumerate(text) if ch != " "] + [len(text)])[at]
+    char = text[position : position + 1]
+    message = message or (f"cannot read {char!r}" if char else "text ends early")
+    return ParseError(message, position=position)
 
 
 # --- rational functions ------------------------------------------------------
@@ -374,30 +343,20 @@ class RationalFunction:
 
     @classmethod
     def variable(cls, i: int, nvars: int, p: int) -> "RationalFunction":
-        return cls.from_polynomial(Polynomial.variable(i, nvars, p))
-
-    @classmethod
-    def constant(cls, c: int, nvars: int, p: int) -> "RationalFunction":
-        return cls.from_polynomial(Polynomial.constant(c, nvars, p))
+        exps = tuple(int(j == i) for j in range(nvars))
+        return cls.from_polynomial(Polynomial(nvars, p, {exps: 1}))
 
     @classmethod
     def one(cls, nvars: int, p: int) -> "RationalFunction":
-        return cls.constant(1, nvars, p)
-
-    @classmethod
-    def zero(cls, nvars: int, p: int) -> "RationalFunction":
-        return cls.constant(0, nvars, p)
+        return cls.from_polynomial(Polynomial.one(nvars, p))
 
     @classmethod
     def parse(cls, text: str, nvars: int, p: int) -> "RationalFunction":
-        parts = _split_top(text.replace(" ", ""), "/")
-        if len(parts) == 1:
-            return cls.from_polynomial(_parse_polynomial(parts[0][1], nvars, p))
-        if len(parts) != 2:
-            raise ParseError("more than one top-level '/'")
-        num = _parse_polynomial(parts[0][1], nvars, p)
-        den = _parse_polynomial(parts[1][1], nvars, p)
-        return cls(num, den)
+        """Read rational := poly ["/" poly] (module docstring): ParseError as
+        `Polynomial.parse`, InvalidPolynomialError on a zero denominator.
+        """
+        num, *den = _read(text, nvars, p, 2)
+        return cls(num, den[0] if den else Polynomial.one(nvars, p))
 
     # -- predicates
 
@@ -526,7 +485,7 @@ def _substitute_in_poly(
         e = exps[var]
         rest = list(exps)
         rest[var] = 0
-        mono = Polynomial.monomial(tuple(rest), c, poly.nvars, poly.p)
+        mono = Polynomial(poly.nvars, poly.p, {tuple(rest): c})
         total = total + mono * num_pows[e] * den_pows[d - e]
     return total, den_pows[d]
 

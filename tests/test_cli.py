@@ -1,7 +1,9 @@
 """Command-line behaviors: exit codes, outputs, file discipline."""
 
 import argparse
+import dataclasses
 import hashlib
+import itertools
 import json
 import time
 
@@ -953,7 +955,89 @@ class TestGoldenOutput:
         )
 
 
+def _every_other_call_shifted(real):
+    calls = itertools.count()
+
+    def fault(matrix, k):
+        return real(matrix, (k + next(calls) % 2) % matrix.n)
+
+    return fault
+
+
+def _first_step_only(real):
+    def fault(values, matrix, seq, field):
+        return real(values, matrix, seq[:1], field)
+
+    return fault
+
+
+def _off_by_one(real):
+    def fault(params, key, ct):
+        message = real(params, key, ct)
+        return fields.ext_add(message, params.field.one(), params.field)
+
+    return fault
+
+
+def _reference_matrix_mutated(real):
+    def fault(params, key, message, reference_path=False):
+        ct = real(params, key, message, reference_path=reference_path)
+        if reference_path:
+            ct = crypto.CiphertextSeed(ct.values, cluster.matrix_mutate(ct.matrix, 0))
+        return ct
+
+    return fault
+
+
+def _one_vertex_isolated(real):
+    def fault(matrix, budget=50_000):
+        graph = real(matrix, budget)
+        return dataclasses.replace(graph, adjacency=graph.adjacency[:-1] + ((),))
+
+    return fault
+
+
+def _one_root_dropped(real):
+    def fault(cartan):
+        system = real(cartan)
+        return dataclasses.replace(system, roots=system.roots[:-1])
+
+    return fault
+
+
+def _values_reversed(real):
+    def fault(blob, params):
+        ct = real(blob, params)
+        return crypto.CiphertextSeed(ct.values[::-1], ct.matrix)
+
+    return fault
+
+
 class TestSelftest:
+    @pytest.mark.parametrize(
+        "check, name, fault",
+        [
+            ("matrix-involution", "matrix_mutate", _every_other_call_shifted),
+            ("numeric-involution", "apply_sequence", _first_step_only),
+            ("round-trip", "decrypt", _off_by_one),
+            ("oracle-equivalence", "encrypt", _reference_matrix_mutated),
+            ("exchange-counts", "enumerate_exchange_graph", _one_vertex_isolated),
+            ("root-axioms", "generate_root_system", _one_root_dropped),
+            ("wire-round-trip", "deserialize_ciphertext", _values_reversed),
+        ],
+    )
+    def test_injected_fault_fails_its_check(
+        self, check, name, fault, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, name, fault(getattr(cli, name)))
+        assert main(["selftest"]) == 1
+        captured = capsys.readouterr()
+        assert f"FAIL {check}" in captured.out.splitlines()
+        (failed,) = [
+            line for line in captured.err.splitlines() if line.startswith("failed: ")
+        ]
+        assert check in failed.removeprefix("failed: ").split(", ")
+
     def test_passes_on_healthy_build(self, capsys):
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out

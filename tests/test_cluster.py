@@ -142,6 +142,24 @@ class TestDynkinConstructors:
         with pytest.raises(TypeError, match="must be an integer"):
             DynkinSpec("A", rank, orientation)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: DynkinSpec("X", 3), "^unknown family 'X'$"),
+            (lambda: DynkinSpec("A", 3, "upward"), "^unknown orientation 'upward'$"),
+            # both directions of edge (0,1) pass the count check and leave
+            # edge (1,2) without a direction
+            (
+                lambda: dynkin_exchange_matrix(DynkinSpec("A", 3, ((0, 1), (1, 0)))),
+                r"^edge \(1,2\) left undirected$",
+            ),
+        ],
+        ids=["family", "orientation-name", "undirected-edge"],
+    )
+    def test_malformed_spec_is_named(self, build, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            build()
+
     def test_orientation_must_cover_all_edges(self):
         with pytest.raises(InvalidSpecError):
             dynkin_exchange_matrix(DynkinSpec("A", 3, orientation=((0, 1),)))

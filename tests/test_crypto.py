@@ -486,6 +486,24 @@ class TestDecrypt:
         with pytest.raises(CorruptOrWrongKeyError):
             decrypt(EX1, wrong, ct)
 
+    def test_record_that_unwinds_to_the_zero_element(self):
+        # Over GF(3^2) = Z_3[x]/(x^2 + 1) the walk forward from (0, alpha)
+        # under key (k0 0, seq 1 0 1) first gives x1 = 1/alpha, so the
+        # exchange binomial of the step at k0, 1 + x1^2, is 0. Undoing that
+        # step sends any nonzero value at k0 to 0, so each record reached
+        # from (c, 1/alpha), c != 0, by the last step unwinds to (0, alpha):
+        # every integrity check passes and the zero element comes back.
+        params = SystemParams(FieldParams(3, 2, (1, 0, 1)), DynkinSpec("B", 2), None)
+        key = SecretKey(0, (1, 0, 1))
+        assert validate_key(key, params.initial_matrix()) == ()
+        record = CiphertextSeed(
+            tuple(int_to_element(v, params.field) for v in (1, 6)),
+            ExchangeMatrix(((0, -2), (1, 0))),
+        )
+        assert record.matrix == crypto._schedule(params, key)[2]
+        with pytest.raises(CorruptOrWrongKeyError, match="^recovered the zero element$"):
+            decrypt(params, key, record)
+
     def test_round_trip_random(self):
         rng = random.Random(77)
         specs = [

@@ -103,6 +103,18 @@ class TestSymmetrizer:
         with pytest.raises(InvalidMatrixError):
             symmetrizer(((2, -1), (0, 2)))  # asymmetric zero pattern
 
+    @pytest.mark.parametrize(
+        "cartan, message",
+        [
+            (((2, -1),), "^Cartan matrix must be square$"),
+            (((1, -1), (-1, 2)), r"^diagonal entry \(0,0\) must be 2$"),
+        ],
+        ids=["not-square", "diagonal"],
+    )
+    def test_generation_validates_the_shape(self, cartan, message):
+        with pytest.raises(InvalidMatrixError, match=message):
+            generate_root_system(cartan)
+
     @pytest.mark.parametrize("build", [symmetrizer, generate_root_system])
     def test_symmetric_zero_pattern_without_symmetrizer(self, build):
         # edges 0-1 and 0-2 force d_1 = d_0 and d_2 = 2 d_0, edge 1-2 d_1 = d_2

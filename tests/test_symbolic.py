@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustercrypt import fields
+from clustercrypt.analysis import cluster_variables
 from clustercrypt.cluster import (
     DynkinSpec,
     apply_sequence,
@@ -13,6 +16,8 @@ from clustercrypt.cluster import (
 from clustercrypt.errors import (
     DegenerateSubstitutionError,
     DenominatorVanishesError,
+    InvalidPolynomialError,
+    InvalidVertexError,
     MutationDivisionError,
     NotClusterShapedError,
     NotDivisibleError,
@@ -22,6 +27,7 @@ from clustercrypt.fields import FieldParams, element_to_int
 from clustercrypt.symbolic import (
     Polynomial,
     RationalFunction,
+    SymbolicSeed,
     apply_symbolic_sequence,
     initial_symbolic_seed,
     rf_mutate,
@@ -74,6 +80,99 @@ class TestPolynomialArithmetic:
             Polynomial.parse("(x0+1", 2, 5)
 
 
+EXPONENTS = st.tuples(*[st.integers(0, 4)] * 3)
+POLYNOMIALS = st.dictionaries(EXPONENTS, st.integers(0, 100), max_size=6).map(
+    lambda terms: Polynomial(3, 101, terms)
+)
+MONOMIALS = st.tuples(EXPONENTS, st.integers(1, 100)).map(
+    lambda term: Polynomial(3, 101, {term[0]: term[1]})
+)
+
+
+class TestTextForm:
+    # the grammar of the module docstring, which render writes
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(POLYNOMIALS, MONOMIALS)
+    def test_parse_inverts_render(self, num, den):
+        assert Polynomial.parse(num.render(), 3, 101) == num
+        laurent = RationalFunction(num, den)
+        back = RationalFunction.parse(laurent.render(), 3, 101)
+        assert back.canonical_key() == laurent.canonical_key()
+
+    @pytest.mark.parametrize(
+        "family, rank",
+        [("A", 3), ("A", 4), ("A", 5), ("B", 3), ("B", 4), ("C", 3), ("D", 4), ("G", 2)],
+    )
+    def test_cluster_variables_read_back(self, family, rank):
+        matrix = dynkin_exchange_matrix(DynkinSpec(family, rank))
+        for variable in cluster_variables(matrix):
+            back = RationalFunction.parse(variable.render(), rank, variable.p)
+            assert back.canonical_key() == variable.canonical_key()
+
+    def test_spaces_and_nested_parentheses_are_read(self):
+        spaced = rf(" ( ( x1 + 2*x0^2 ) ) / ( x0 * x1 ) ", 2)
+        assert spaced.canonical_key() == rf("(2*x0^2+x1)/(x0*x1)", 2).canonical_key()
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            # an exponent without digits
+            ("x0^", 2),
+            ("x0^-1", 2),
+            ("x0^+2", 2),
+            ("x0 ^ - 1", 3),
+            # a sign before the first term or a denominator
+            ("+20", 0),
+            ("-2", 0),
+            ("-x0", 0),
+            ("1/-0", 2),
+            ("(-1+x0)/x1", 1),
+            # underscores inside digits
+            ("1_000*x0", 1),
+            # whitespace other than the space character
+            ("x0+\t1", 3),
+            ("1\n", 1),
+            # anything else the grammar does not produce
+            ("", 0),
+            ("x0+", 3),
+            ("x0*+x1", 3),
+            ("x0--x1", 3),
+            ("(x0+1", 5),
+            ("x0+1)", 4),
+            ("(x0)+1", 4),
+            ("(x0)*(x1)", 4),
+            ("1/x0/x1", 4),
+            ("x", 0),
+            ("x0*y", 3),
+            ("()", 1),
+        ],
+    )
+    def test_refuses_text_outside_the_grammar(self, text, position):
+        with pytest.raises(ParseError) as caught:
+            RationalFunction.parse(text, 2, 101)
+        assert caught.value.position == position
+
+    @pytest.mark.parametrize(
+        "template", ["{}", "x{}", "x0^{}"], ids=["digits", "variable", "exponent"]
+    )
+    def test_number_past_the_digit_limit_of_int(self, template):
+        with pytest.raises(ParseError, match=r"^too many digits \(at 0\)$"):
+            RationalFunction.parse(template.format("1" * 5000), 2, 5)
+
+    def test_polynomial_refuses_a_fraction(self):
+        with pytest.raises(ParseError, match=r"^cannot read '/' \(at 1\)$"):
+            Polynomial.parse("1/x0", 2, 5)
+
+    def test_variable_outside_the_ring(self):
+        with pytest.raises(ParseError, match=r"^variable x2 outside 0\.\.1 \(at 5\)$"):
+            RationalFunction.parse("x0 + x2", 2, 5)
+
+    def test_zero_denominator(self):
+        with pytest.raises(InvalidPolynomialError, match="^zero denominator$"):
+            RationalFunction.parse("1/0", 2, 5)
+
+
 class TestMutation:
     def test_a5_first_mutation(self):
         seed = initial_symbolic_seed(dynkin_exchange_matrix(DynkinSpec("A", 5)), BIGP)
@@ -95,9 +194,8 @@ class TestMutation:
 
     def test_mutating_zero_entry_raises(self):
         seed = initial_symbolic_seed(dynkin_exchange_matrix(DynkinSpec("A", 2)), BIGP)
-        zeroed = type(seed)(
-            (RationalFunction.zero(2, BIGP), seed.entries[1]), seed.matrix
-        )
+        zero = RationalFunction.from_polynomial(Polynomial.zero(2, BIGP))
+        zeroed = type(seed)((zero, seed.entries[1]), seed.matrix)
         with pytest.raises(MutationDivisionError):
             rf_mutate(zeroed, 0)
 
@@ -218,6 +316,21 @@ class TestSubstitution:
                 continue
             assert direct == via_subst
             trials += 1
+
+
+class TestGuards:
+    def test_substituting_a_variable_outside_the_ring(self):
+        with pytest.raises(InvalidVertexError, match=r"^variable 5 outside \[0, 2\)$"):
+            rf("x0", 2).substitute(5, rf("x1", 2))
+
+    def test_integer_evaluation_at_a_pole(self):
+        with pytest.raises(DenominatorVanishesError, match="^x0$"):
+            rf("1/x0", 2).evaluate_int((0, 1))
+
+    def test_seed_needs_one_entry_per_row(self):
+        matrix = dynkin_exchange_matrix(DynkinSpec("A", 2))
+        with pytest.raises(InvalidVertexError, match="^1 entries for a rank-2 matrix$"):
+            SymbolicSeed((rf("x0", 2),), matrix)
 
 
 class TestEvaluation:
