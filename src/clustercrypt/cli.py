@@ -191,10 +191,10 @@ def cmd_decrypt(args) -> int:
 def cmd_graph(args) -> int:
     if args.params:
         params = deserialize_params(_read_file(args.params))
-        spec = params.diagram
+        spec, matrix = params.diagram, params.initial_matrix()
     else:
         spec = DynkinSpec(args.family, args.rank, _parse_orientation(args.orientation))
-    matrix = dynkin_exchange_matrix(spec)
+        matrix = dynkin_exchange_matrix(spec)
     # a valued diagram has no quiver: fail before the enumeration, not after
     dot = matrix.to_dot() if args.dot else None
     graph = enumerate_exchange_graph(matrix, budget=args.budget)

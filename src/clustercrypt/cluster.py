@@ -181,9 +181,10 @@ def dynkin_edges(family: str, rank: int) -> list[tuple[int, int, int, int]]:
     """Underlying valued tree: (i, j, |b_ij|, |b_ji|) per edge.
 
     Vertex labels: chains run 0..rank-1; D forks at rank-3 into tips
-    rank-2 and rank-1; E hangs vertex rank-1 off vertex 2. The valued
-    edge of B carries the 2 in row rank-2 (|b_{r-2,r-1}| = 2); C is the
-    mirror image. This placement is a convention of this package, and
+    rank-2 and rank-1; E hangs vertex rank-1 off vertex 2. So each edge
+    (i, j) lists first its vertex nearer 0, which is i steps from 0. The
+    valued edge of B carries the 2 in row rank-2 (|b_{r-2,r-1}| = 2); C is
+    the mirror image. This placement is a convention of this package, and
     classify_cartan recognizes a diagram by comparison with these trees.
     """
     _check_family_rank(family, rank)
@@ -240,34 +241,12 @@ class DynkinSpec:
         return d
 
 
-def _tree_adjacency(edges, n) -> dict[int, list[tuple[int, str]]]:
-    """Neighbours with edge labels: edge (i, j, a, b) is "a,b" from i, "b,a" from j."""
-    adjacency = {v: [] for v in range(n)}
-    for i, j, a, b in edges:
-        adjacency[i].append((j, f"{a},{b}"))
-        adjacency[j].append((i, f"{b},{a}"))
-    return adjacency
-
-
-def _bipartite_direction(edges, rank) -> dict[tuple[int, int], bool]:
-    """True for (i, j) iff the arrow runs i -> j under the default rule."""
-    adjacency = _tree_adjacency(edges, rank)
-    # states are (vertex, depth); the first visit to a vertex is its depth
-    walk = breadth_first(
-        [(0, 0)],
-        lambda state: [(w, state[1] + 1) for w, _ in adjacency[state[0]]],
-        lambda state: state[0],
-    )
-    depth = dict(state for _, state, _ in walk)
-    return {(i, j): depth[i] % 2 == 0 for i, j, _, _ in edges}
-
-
-@lru_cache(maxsize=None)
 def dynkin_exchange_matrix(spec: DynkinSpec) -> ExchangeMatrix:
     """Exchange matrix whose Cartan counterpart is the family's Cartan matrix."""
     edges = dynkin_edges(spec.family, spec.rank)
     if spec.orientation == "default":
-        forward = _bipartite_direction(edges, spec.rank)
+        # vertex i of an edge (i, j) is i steps from vertex 0 (dynkin_edges)
+        forward = {(i, j): i % 2 == 0 for i, j, _, _ in edges}
     else:
         chosen = set(spec.orientation)
         undirected = {(i, j) for i, j, _, _ in edges}
@@ -293,7 +272,6 @@ def dynkin_exchange_matrix(spec: DynkinSpec) -> ExchangeMatrix:
     return ExchangeMatrix(rows)
 
 
-@lru_cache(maxsize=None)
 def standard_cartan(family: str, rank: int) -> Rows:
     """The finite-type Cartan matrix in this package's labelling."""
     matrix = dynkin_exchange_matrix(DynkinSpec(family, rank))
@@ -312,7 +290,11 @@ def _tree_form(edges, n) -> Optional[str]:
     """
     if len(edges) != n - 1:
         return None
-    adjacency = _tree_adjacency(edges, n)
+    # neighbours with edge labels: edge (i, j, a, b) is "a,b" from i, "b,a" from j
+    adjacency = {v: [] for v in range(n)}
+    for i, j, a, b in edges:
+        adjacency[i].append((j, f"{a},{b}"))
+        adjacency[j].append((i, f"{b},{a}"))
     walk = breadth_first([0], lambda v: [w for w, _ in adjacency[v]], lambda v: v)
     if sum(1 for _ in walk) != n:
         return None

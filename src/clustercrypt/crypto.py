@@ -34,8 +34,9 @@ the params the caller already holds and builds only the matrix and the
 values, so the field is not validated again per record. Params that
 validated are kept per process, keyed by the canonical bytes of their
 four fields (the bytes a record header is compared by), so each params
-file is validated once per process, not once per command; key files
-are not kept, since a key's schedule lives exactly as long as the key.
+file is validated, and its exchange matrix and log tables built, once
+per process, not once per command; key files are not kept, since a
+key's schedule lives exactly as long as the key.
 """
 
 from __future__ import annotations
@@ -154,7 +155,11 @@ class CiphertextSeed:
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Field, Dynkin diagram (rank must equal the field degree), alphabet."""
+    """Field, Dynkin diagram (rank must equal the field degree), alphabet.
+
+    The one home of per-params data: it keeps its initial exchange matrix,
+    and its field keeps the log tables once built (see from_dict).
+    """
 
     field: FieldParams
     diagram: DynkinSpec
@@ -170,12 +175,13 @@ class SystemParams:
                 f"field size {self.field.q} below alphabet size "
                 f"{self.alphabet.size()}"
             )
-        self.initial_matrix()  # an orientation must direct every diagram edge
+        # an orientation must direct every diagram edge
+        object.__setattr__(self, "_matrix", dynkin_exchange_matrix(self.diagram))
         # the params file, and the header every ciphertext record must repeat
         object.__setattr__(self, "_header", _canonical_bytes(self.to_dict()))
 
     def initial_matrix(self) -> ExchangeMatrix:
-        return dynkin_exchange_matrix(self.diagram)
+        return self._matrix
 
     def to_dict(self) -> dict:
         d = self.field.to_dict()
@@ -307,15 +313,16 @@ def keygen(rng_seed: int, params: SystemParams, t: int) -> SecretKey:
     if t < 1:
         raise InfeasibleKeyError("key length must be at least 1")
     r = params.field.r
+    if r == 1 or t == 1:  # no vertex has a neighbour, or k0 follows none
+        raise InfeasibleKeyError(f"no valid key of length {t} found for rank {r}")
     matrix = params.initial_matrix()
     rng = Random(rng_seed)
     for _ in range(_KEYGEN_ATTEMPTS):
         k0 = rng.randrange(r)
         seq = [rng.randrange(r)]
         for _ in range(t - 1):
-            offset = rng.randrange(r - 1) if r > 1 else 0
-            previous = seq[-1]
-            seq.append(offset if offset < previous else offset + 1)
+            offset = rng.randrange(r - 1)
+            seq.append(offset if offset < seq[-1] else offset + 1)
         key = SecretKey(k0, tuple(seq))
         if not validate_key(key, matrix):
             return key

@@ -12,12 +12,11 @@ nonzero element a to the i with g^i = a, and exp maps i back, stored
 twice over: ext_mul is exp[log a + log b], ext_inv exp[(q-1) - log a]
 and ext_pow exp[log a * e mod (q-1)]; a zero operand gives zero, and
 0^0 one. A field's tables are built on its first multiply, inverse or
-power, never when params are read, and kept in a process-wide cache of
-eight fields keyed by (p, r, f): every CLI command reads its params file
-again, so tables kept on one FieldParams object would be rebuilt per
-command. The build is q - 1 packed multiplies; TABLE_MAX_Q keeps the
-slowest one under 5 ms: GF(3^6) took 2.6-3.8 ms and GF(2^10) 4.2-6.2 ms
-(best of 7, three runs, shared 2-vCPU Xeon).
+power, never when params are read, and kept on that FieldParams. Params
+read from files are shared per process (crypto.SystemParams.from_dict),
+and their fields with them. The build is q - 1 packed multiplies;
+TABLE_MAX_Q keeps the slowest one under 5 ms: GF(3^6) took 2.6-3.8 ms
+and GF(2^10) 4.2-6.2 ms (best of 7, three runs, shared 2-vCPU Xeon).
 
 Above TABLE_MAX_Q a product is one integer multiply: the packed multiply
 puts each operand's digits into fixed-width slots of one int, wide
@@ -44,7 +43,6 @@ GF(65521^8) and GF(2^32) for the field arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -250,10 +248,10 @@ class FieldParams:
         masks = tuple((1 << s) - 1 for s in shifts)
         packed_f = sum(c << s for c, s in zip(f, shifts))
         object.__setattr__(self, "_euclid", (width, masks[1], shifts, masks, packed_f))
-        # () until the first multiply, inverse or power attaches (log, exp)
-        # (_attach_tables); None above TABLE_MAX_Q. A plain attribute, not a
-        # cached_property: that one reads the instance __dict__, and a read
-        # __dict__ made every attribute read of the object 4x slower
+        # () until the first multiply, inverse or power keeps (log, exp)
+        # here (_log_tables); None above TABLE_MAX_Q. Not a cached_property:
+        # that stores through the instance __dict__, and an object whose
+        # __dict__ was used reads every attribute 3-4x slower (CPython 3.11)
         object.__setattr__(self, "_tables", () if self.q <= TABLE_MAX_Q else None)
 
     @property
@@ -300,7 +298,7 @@ def ext_mul(a: Element, b: Element, params: FieldParams) -> Element:
     """
     tables = params._tables
     if tables is not None:
-        log, exp = tables or _attach_tables(params)
+        log, exp = tables or _log_tables(params)
         try:
             return exp[log[a] + log[b]]
         except KeyError:
@@ -345,7 +343,7 @@ def ext_inv(a: Element, params: FieldParams) -> Element:
         raise NonInvertibleError("zero element has no inverse")
     tables = params._tables
     if tables is not None:
-        log, exp = tables or _attach_tables(params)
+        log, exp = tables or _log_tables(params)
         return exp[len(log) - log[a]]
     p = params.p
     width, mask, shifts, masks, rem = params._euclid
@@ -382,7 +380,7 @@ def ext_pow(a: Element, e: int, params: FieldParams) -> Element:
         a, e = ext_inv(a, params), -e
     tables = params._tables
     if tables is not None:
-        log, exp = tables or _attach_tables(params)
+        log, exp = tables or _log_tables(params)
         try:
             return exp[log[a] * e % len(log)]
         except KeyError:
@@ -399,26 +397,21 @@ def ext_pow(a: Element, e: int, params: FieldParams) -> Element:
     return params.one() if result is None else result
 
 
-def _attach_tables(params: FieldParams) -> tuple[dict[Element, int], tuple[Element, ...]]:
-    """params' tables, looked up in the process-wide cache and kept on params."""
-    tables = _log_tables(params)
-    object.__setattr__(params, "_tables", tables)
-    return tables
-
-
 def _without_tables(params: FieldParams) -> FieldParams:
     """A copy of params on which ext_mul, ext_inv and ext_pow skip the tables.
 
     The tables are built through it, and the tests check them against it.
+    Copied by attribute: no second modulus test, no __dict__ (see _tables).
     """
-    packed = FieldParams(params.p, params.r, params.f)
+    packed = object.__new__(FieldParams)
+    for name in ("p", "r", "f", "_packing", "_euclid"):
+        object.__setattr__(packed, name, getattr(params, name))
     object.__setattr__(packed, "_tables", None)
     return packed
 
 
-@lru_cache(maxsize=8)
 def _log_tables(params: FieldParams) -> tuple[dict[Element, int], tuple[Element, ...]]:
-    """log: nonzero element -> i and exp: i -> g^i for a primitive g.
+    """log: nonzero element -> i and exp: i -> g^i for a primitive g, kept on params.
 
     g is the first element, in canonical-integer order, with
     g^((q-1)/l) != 1 for every prime l dividing q - 1. exp is stored
@@ -434,7 +427,9 @@ def _log_tables(params: FieldParams) -> tuple[dict[Element, int], tuple[Element,
     exp = [one]
     for _ in range(n - 1):
         exp.append(ext_mul(exp[-1], g, packed))
-    return {a: i for i, a in enumerate(exp)}, tuple(exp + exp)
+    log = {a: i for i, a in enumerate(exp)}
+    object.__setattr__(params, "_tables", (log, tuple(exp + exp)))
+    return params._tables
 
 
 def element_to_int(a: Element, params: FieldParams) -> int:

@@ -73,6 +73,13 @@ class TestEnumeration:
         assert graph.is_regular()
         assert graph.is_connected()
 
+    def test_graph_without_vertices_is_not_connected(self):
+        empty = analysis.ExchangeGraph(
+            rank=2, vertices=(), adjacency=(), initial_vertex=0,
+            prime=PENTAGON.prime, point=PENTAGON.point,
+        )
+        assert not empty.is_connected()
+
     def test_rank8_count_matches_closed_form(self):
         graph = graph_for("D", 8, budget=20_000)
         assert graph.n_vertices == class_count_closed_form("D", 8) == 9438
@@ -306,6 +313,16 @@ class TestSeedListCertification:
         report = verify_seed_list_a3(PENTAGON)
         assert not report.ok
         assert report.unmatched_reference == tuple(range(14))
+
+    def test_rank_3_graph_of_another_type_is_not_linked(self):
+        # B3's graph has rank 3 and 20 vertices; A3's 14 symbolic seeds
+        # still match the reference list, and 4 of them meet a B3 vertex
+        report = verify_seed_list_a3(graph_for("B", 3))
+        assert not report.ok
+        assert len(report.matching) == 14
+        assert report.notes == (
+            "graph/symbolic mismatch: 20 graph vertices, 14 symbolic seeds, 4 linked",
+        )
 
 
 class TestSymbolicEnumeration:

@@ -174,6 +174,22 @@ class TestKeygen:
         assert not out.exists()
         assert "outside the supported p <= 65521, r <= 32" in capsys.readouterr().err
 
+    def test_rank_one_key_is_refused_before_any_draw(self, tmp_path, capsys):
+        # A1 has no valid key; 20,000 draws of a million entries would hang
+        params, out = tmp_path / "a1.json", tmp_path / "k.json"
+        argv = ["params", "--p", "29", "--r", "1", "--f", "0,1", "--family", "A", "--rank", "1"]
+        assert main([*argv, "--out", str(params)]) == 0
+        capsys.readouterr()
+        start = time.perf_counter()
+        argv = ["keygen", "--params", str(params), "--length", "1000000", "--rng-seed", "5"]
+        code = main([*argv, "--out", str(out)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 64
+        assert not out.exists()
+        assert capsys.readouterr() == (
+            "", "error: no valid key of length 1000000 found for rank 1\n"
+        )
+
     def test_echoes_generated_seed(self, ex1_files, tmp_path, capsys):
         params, _ = ex1_files
         code = main(

@@ -19,6 +19,7 @@ from clustercrypt.cluster import (
     breadth_first,
     cartan_counterpart,
     classify_cartan,
+    dynkin_edges,
     dynkin_exchange_matrix,
     is_finite_type,
     is_two_finite,
@@ -159,6 +160,34 @@ class TestDynkinConstructors:
     def test_malformed_spec_is_named(self, build, message):
         with pytest.raises(InvalidSpecError, match=message):
             build()
+
+    def test_default_orientation_is_distance_parity(self):
+        # reference: each arrow runs from the end at even breadth-first
+        # distance from vertex 0 to the end at odd distance
+        diagrams = (
+            [("A", r) for r in range(1, 31)]
+            + [(family, r) for family in "BC" for r in range(2, 31)]
+            + [("D", r) for r in range(4, 31)]
+            + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+        )
+        for family, rank in diagrams:
+            edges = dynkin_edges(family, rank)
+            neighbours = {v: [] for v in range(rank)}
+            for i, j, _, _ in edges:
+                neighbours[i].append(j)
+                neighbours[j].append(i)
+            depth, queue = {0: 0}, [0]
+            for v in queue:
+                for w in neighbours[v]:
+                    if w not in depth:
+                        depth[w] = depth[v] + 1
+                        queue.append(w)
+            rows = [[0] * rank for _ in range(rank)]
+            for i, j, wij, wji in edges:
+                sign = 1 if depth[i] % 2 == 0 else -1
+                rows[i][j], rows[j][i] = sign * wij, -sign * wji
+            matrix = dynkin_exchange_matrix(DynkinSpec(family, rank))
+            assert matrix.rows == tuple(map(tuple, rows)), f"{family}{rank}"
 
     def test_orientation_must_cover_all_edges(self):
         with pytest.raises(InvalidSpecError):
@@ -557,6 +586,18 @@ class TestClassifyCartan:
         ids=["arms-1-2-5", "arms-2-2-2", "arms-1-3-3", "K_1_4", "D5-affine", "2-2", "4-1"],
     )
     def test_valued_trees_that_are_not_dynkin(self, cartan):
+        assert classify_cartan(cartan) is None
+
+    @pytest.mark.parametrize(
+        "cartan",
+        [
+            ((1, 0), (0, 2)),
+            # a triangle and an isolated vertex: n - 1 edges, not connected
+            ((2, -1, -1, 0), (-1, 2, -1, 0), (-1, -1, 2, 0), (0, 0, 0, 2)),
+        ],
+        ids=["diagonal-1", "triangle-and-point"],
+    )
+    def test_matrices_that_are_no_cartan_tree(self, cartan):
         assert classify_cartan(cartan) is None
 
     def test_long_chain_classifies_without_recursion(self):

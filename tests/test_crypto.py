@@ -1,8 +1,12 @@
 """The cipher: codecs, keys, both encryption paths, wire format."""
 
+import gc
+import hashlib
+import itertools
 import json
 import random
 import time
+import weakref
 from functools import partial
 
 import pytest
@@ -51,6 +55,7 @@ from clustercrypt.errors import (
 from clustercrypt.fields import (
     FieldParams,
     element_to_int,
+    ext_mul,
     int_to_element,
     is_irreducible,
 )
@@ -183,6 +188,23 @@ class TestParamsMemo:
         assert all(deserialize_params(blob) is params for blob, params in zip(blobs[1:], built[1:]))
         again = deserialize_params(blobs[0])
         assert again == built[0] and again is not built[0]
+
+    def test_evicted_params_free_their_field_and_matrix(self):
+        # the params cache is the one per-process home of the field's log
+        # tables and of the initial matrix: nothing else keeps them alive
+        first = deserialize_params(gf32_params([1, 0, 1, 0, 0, 1]))
+        field = first.field
+        ext_mul(field.one(), field.one(), field)
+        assert field._tables
+        dead = [weakref.ref(field), weakref.ref(first.initial_matrix())]
+        del first, field
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4)]
+        for flips in list(itertools.product((False, True), repeat=4))[:9]:
+            orientation = [[j, i] if flip else [i, j] for (i, j), flip in zip(edges, flips)]
+            diagram = {"family": "A", "rank": 5, "orientation": orientation}
+            deserialize_params(gf32_params([1, 0, 1, 0, 0, 1], diagram))
+        gc.collect()
+        assert [ref() for ref in dead] == [None, None]
 
 
 class TestMessageCodec:
@@ -335,6 +357,42 @@ class TestKeygen:
         for seed in range(50):
             key = keygen(seed, EX2, 2 + seed % 11)
             assert validate_key(key, matrix) == ()
+
+    @pytest.mark.parametrize(
+        "params, t",
+        [
+            (SystemParams(FieldParams(29, 1, (0, 1)), DynkinSpec("A", 1)), 100),
+            (EX1, 1),
+        ],
+        ids=["rank-1", "length-1"],
+    )
+    def test_infeasible_keys_fail_before_any_draw(self, monkeypatch, params, t):
+        calls = []
+        monkeypatch.setattr(crypto, "validate_key", lambda *args: calls.append(args) or ())
+        with pytest.raises(InfeasibleKeyError) as caught:
+            keygen(0, params, t)
+        assert str(caught.value) == f"no valid key of length {t} found for rank {params.field.r}"
+        assert calls == []
+
+    def test_exhausted_draws_raise(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(crypto, "_KEYGEN_ATTEMPTS", 3)
+        monkeypatch.setattr(crypto, "validate_key", lambda *args: calls.append(args) or ("bad",))
+        with pytest.raises(InfeasibleKeyError, match="^no valid key of length 4 found for rank 5$"):
+            keygen(0, EX1, 4)
+        assert len(calls) == 3
+
+    def test_feasible_keys_are_pinned(self):
+        # 880 keys over worked examples 1 and 2 at t = 2..12: refusing rank 1
+        # and length 1 up front leaves every feasible draw unchanged
+        digest = hashlib.sha256()
+        for params in (EX1, EX2):
+            for seed in range(40):
+                for t in range(2, 13):
+                    digest.update(serialize_key(keygen(seed, params, t)) + b"\n")
+        assert digest.hexdigest() == (
+            "386fe9cca731d9105382f64064cd6c1c957625426110949fe17cfd2d749d5048"
+        )
 
 
 class TestEncrypt:

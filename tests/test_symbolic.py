@@ -332,6 +332,44 @@ class TestGuards:
         with pytest.raises(InvalidVertexError, match="^1 entries for a rank-2 matrix$"):
             SymbolicSeed((rf("x0", 2),), matrix)
 
+    @pytest.mark.parametrize("exps", [(1,), (1, -1)], ids=["short", "negative"])
+    def test_bad_exponent_vector(self, exps):
+        with pytest.raises(InvalidPolynomialError, match="^bad exponent vector"):
+            Polynomial(2, 5, {exps: 1})
+
+    @pytest.mark.parametrize("nvars, p", [(1, 5), (2, 7)], ids=["variables", "modulus"])
+    def test_mixed_rings(self, nvars, p):
+        with pytest.raises(InvalidPolynomialError, match="^mixed variable counts or moduli$"):
+            Polynomial.parse("x0", 2, 5) + Polynomial.parse("x0", nvars, p)
+
+    def test_negative_power(self):
+        with pytest.raises(InvalidPolynomialError, match="^negative polynomial power$"):
+            Polynomial.parse("x0", 1, 5) ** -1
+
+    def test_division_by_zero_polynomial(self):
+        with pytest.raises(NotDivisibleError, match="^division by the zero polynomial$"):
+            Polynomial.parse("x0", 1, 5).divide_exact(Polynomial.zero(1, 5))
+
+    def test_monomial_content_of_zero(self):
+        assert Polynomial.zero(3, 5).monomial_content() == (0, 0, 0)
+
+    def test_evaluation_outside_the_ring(self):
+        point = [GF32.one(), GF32.one()]
+        with pytest.raises(InvalidPolynomialError, match="^coefficient modulus differs"):
+            Polynomial.parse("x0", 2, 5).evaluate(point, GF32)
+        with pytest.raises(InvalidPolynomialError, match="^point length differs"):
+            Polynomial.parse("x0", 3, 2).evaluate(point, GF32)
+        with pytest.raises(InvalidPolynomialError, match="^point length differs"):
+            Polynomial.parse("x0", 3, 5).evaluate_int((1, 1))
+
+    def test_reprs_show_the_text_form(self):
+        assert repr(Polynomial.parse("x0^2+3*x1+1", 2, 5)) == "Polynomial('1 + 3*x1 + x0^2')"
+        assert repr(rf("(x0+1)/x1", 2, 5)) == "RationalFunction('(1+x0)/x1')"
+
+    def test_rational_function_is_not_equal_to_an_int(self):
+        assert rf("1", 1, 5) != 1
+        assert not rf("x0", 1, 5) == 1
+
 
 class TestEvaluation:
     def test_known_value_18(self):
