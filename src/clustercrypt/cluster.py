@@ -436,7 +436,8 @@ def numeric_mutate(
     read. Negating it swaps the two products and leaves the value alone,
     so a step and its reverse read the same row. Each product starts from
     its first factor, a factor with |b| = 1 is the value itself, and only
-    an empty side is one().
+    an empty side is one(). The divisor is inverted by fields.divisor_inv,
+    which remembers inverses on fields above the table limit.
     """
     if not any(values[k]):
         raise MutationDivisionError(k)
@@ -450,7 +451,7 @@ def numeric_mutate(
                 neg = factor if neg is None else fields.ext_mul(neg, factor, field)
     one = field.one()
     total = fields.ext_add(one if pos is None else pos, one if neg is None else neg, field)
-    new_value = fields.ext_mul(total, fields.ext_inv(values[k], field), field)
+    new_value = fields.ext_mul(total, fields.divisor_inv(values[k], field), field)
     return values[:k] + (new_value,) + values[k + 1:]
 
 

@@ -508,6 +508,8 @@ def _read_object(data: bytes, build):
         raise ParseError("payload is not UTF-8", position=exc.start) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", position=exc.pos) from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ParseError(f"bad JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError("bad JSON: nested too deeply") from exc
     if not isinstance(payload, dict):

@@ -25,6 +25,19 @@ packed rows x^(r+i) mod f and reduces each low slot mod p; an inverse
 is extended Euclid on packed ints too. Both need digits in [0, p).
 Digit tuples stay the interface and the wire form.
 
+Above TABLE_MAX_Q an exchange step inverts its divisor through
+divisor_inv, which keeps each inverse it computed on the field (divisor
+-> inverse, an empty dict when the field is made). A divisor is a
+cluster variable at the public alpha^i with the message at k0; finite
+type has finitely many cluster variables and a letter 26 values, so
+divisors repeat: over 40 GF(101^7)/D7 sessions of t = 20 (keygen,
+encrypt and decrypt of 12-24 letters) 90% of the inverses were kept
+ones. At INVERSE_MEMO_MAX = 4096 inverses the memo is cleared before the
+next is kept. Full, it holds about 0.5 MB of dict and inverses at
+GF(101^7) and 5.5 MB at GF(65521^32), plus the divisors it keeps as keys
+(0.4 and 4.9 MB; tracemalloc). ext_inv itself keeps nothing, so the
+symbolic oracle, which inverts with it, stays independent of the memo.
+
 Integers are checked where values are built, not where files are read:
 `require_int` admits only int (no bool, float or str) and raises
 TypeError, and FieldParams (p, r, each coefficient of f) and
@@ -65,6 +78,9 @@ MAX_R = 32
 
 # The largest field with log tables (see the module docstring).
 TABLE_MAX_Q = 1000
+
+# The most inverses divisor_inv keeps per field above TABLE_MAX_Q.
+INVERSE_MEMO_MAX = 4096
 
 
 def require_int(value, what: str) -> int:
@@ -252,7 +268,10 @@ class FieldParams:
         # here (_log_tables); None above TABLE_MAX_Q. Not a cached_property:
         # that stores through the instance __dict__, and an object whose
         # __dict__ was used reads every attribute 3-4x slower (CPython 3.11)
-        object.__setattr__(self, "_tables", () if self.q <= TABLE_MAX_Q else None)
+        tabled = self.q <= TABLE_MAX_Q
+        object.__setattr__(self, "_tables", () if tabled else None)
+        # divisor_inv's memo, divisor -> inverse; None (no memo) when tabled
+        object.__setattr__(self, "_inverses", None if tabled else {})
 
     @property
     def q(self) -> int:
@@ -370,6 +389,26 @@ def ext_inv(a: Element, params: FieldParams) -> Element:
     return tuple([(new_t >> s & mask) * inv_c % p for s in shifts[:-1]])
 
 
+def divisor_inv(a: Element, params: FieldParams) -> Element:
+    """ext_inv(a), remembered on fields above TABLE_MAX_Q: an exchange step's divisor.
+
+    A tabled field has no memo, so this is one ext_inv call. Above the
+    limit ext_inv runs only for a divisor not yet kept, and a full memo
+    (INVERSE_MEMO_MAX inverses) is cleared before the next one is kept;
+    a zero divisor raises in ext_inv and is not kept.
+    """
+    memo = params._inverses
+    if memo is None:
+        return ext_inv(a, params)
+    inverse = memo.get(a)
+    if inverse is None:
+        inverse = ext_inv(a, params)
+        if len(memo) >= INVERSE_MEMO_MAX:
+            memo.clear()
+        memo[a] = inverse
+    return inverse
+
+
 def ext_pow(a: Element, e: int, params: FieldParams) -> Element:
     """a^e: exp[log a * e mod (q - 1)] for q <= TABLE_MAX_Q.
 
@@ -398,7 +437,7 @@ def ext_pow(a: Element, e: int, params: FieldParams) -> Element:
 
 
 def _without_tables(params: FieldParams) -> FieldParams:
-    """A copy of params on which ext_mul, ext_inv and ext_pow skip the tables.
+    """A copy of params on which ext_mul, ext_inv and ext_pow skip the tables; no memo.
 
     The tables are built through it, and the tests check them against it.
     Copied by attribute: no second modulus test, no __dict__ (see _tables).
@@ -407,6 +446,7 @@ def _without_tables(params: FieldParams) -> FieldParams:
     for name in ("p", "r", "f", "_packing", "_euclid"):
         object.__setattr__(packed, name, getattr(params, name))
     object.__setattr__(packed, "_tables", None)
+    object.__setattr__(packed, "_inverses", None)
     return packed
 
 

@@ -26,6 +26,7 @@ from clustercrypt.cluster import (
     dynkin_exchange_matrix,
 )
 from clustercrypt.errors import BudgetExceededError, NotFiniteTypeError
+from clustercrypt.symbolic import RationalFunction
 
 
 def graph_for(family, rank, **kw):
@@ -324,6 +325,22 @@ class TestSeedListCertification:
             "graph/symbolic mismatch: 20 graph vertices, 14 symbolic seeds, 4 linked",
         )
 
+    def test_a_seed_repeated_by_wrong_arithmetic_is_unmatched(self, monkeypatch):
+        # a faulty mutation that returns an earlier seed again: the repeat
+        # finds its reference cluster taken, and the cluster it replaced
+        # goes unmatched
+        enumerate_seeds = analysis.enumerate_symbolic_seeds
+
+        def faulty(matrix):
+            seeds = enumerate_seeds(matrix)
+            return seeds[:-1] + [seeds[0]]
+
+        monkeypatch.setattr(analysis, "enumerate_symbolic_seeds", faulty)
+        report = verify_seed_list_a3(A3_GRAPH)
+        assert not report.ok
+        assert report.unmatched_enumerated == (13,) and len(report.matching) == 13
+        assert len(report.unmatched_reference) == 1 and report.notes == ()
+
 
 class TestSymbolicEnumeration:
     def test_a2_five_seeds_five_variables(self):
@@ -408,6 +425,30 @@ class TestDenominatorBijection:
             dynkin_exchange_matrix(DynkinSpec("A", 3))
         )
         assert report.n_cluster_variables == 9
+
+    def test_a_numerator_without_constant_term_is_reported(self, monkeypatch):
+        # a faulty variable, N x_0 / x^d in place of N / x^d with d_0 = 0:
+        # its denominator vector is unchanged, but its numerator now
+        # vanishes at the origin
+        find_variables = analysis.cluster_variables
+        faults = []
+
+        def faulty(matrix):
+            variables = find_variables(matrix)
+            i = next(
+                i for i, v in enumerate(variables)
+                if v.is_variable() is None and v.denominator_vector()[0] == 0
+            )
+            x0 = RationalFunction.variable(0, matrix.n, variables[i].p)
+            faults.append(variables[i] * x0)
+            return variables[:i] + faults + variables[i + 1:]
+
+        monkeypatch.setattr(analysis, "cluster_variables", faulty)
+        report = check_denominator_bijection(dynkin_exchange_matrix(DynkinSpec("A", 3)))
+        assert not report.ok
+        assert report.zero_constant_terms == (faults[0].render(),)
+        assert report.missing_roots == report.extra_vectors == ()
+        assert report.n_cluster_variables == report.n_almost_positive == 9
 
     def test_initial_variables_map_to_negated_simples(self):
         matrix = dynkin_exchange_matrix(DynkinSpec("A", 3))

@@ -127,3 +127,29 @@ def test_small_field_steps_call_the_traced_field_names(monkeypatch):
     row = dynkin_exchange_matrix(EX1_PARAMS.diagram).rows[1]
     numeric_mutate(values, row, 1, field)
     assert calls["ext_mul"] >= 1 and calls["ext_inv"] == 1
+
+
+def test_ext_inv_runs_the_euclid_on_every_call():
+    # the exchange step remembers inverses above the table limit
+    # (fields.divisor_inv); fields.ext_inv itself keeps none, so the traced
+    # fields.ext_inv_ns times the extended Euclid. Each Euclid round inverts
+    # a leading coefficient with the builtin pow
+    shared = EXAMPLE_2.params.field
+    large = fields.FieldParams(shared.p, shared.r, shared.f)  # an empty memo of its own
+    value = fields.int_to_element(EXAMPLE_2.values[2], large)
+    pows = []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is pow:
+            pows[-1] += 1
+
+    inverses = []
+    for _ in range(2):
+        pows.append(0)
+        sys.setprofile(profile)
+        try:
+            inverses.append(fields.ext_inv(value, large))
+        finally:
+            sys.setprofile(None)
+    assert pows[0] == pows[1] > 1
+    assert inverses[0] == inverses[1] and large._inverses == {}

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustercrypt import fields
+from clustercrypt import crypto, fields
 from clustercrypt.cluster import (
     DynkinSpec,
     ExchangeMatrix,
@@ -714,3 +714,70 @@ def test_negated_row_gives_the_same_value(field, spec, data):
     out = numeric_mutate(values, row, k, field)
     assert numeric_mutate(values, tuple(-b for b in row), k, field) == out
     assert out[:k] + out[k + 1:] == values[:k] + values[k + 1:]
+
+
+def _first_monic_irreducible(p, r):
+    """The first monic irreducible f of degree r over Z_p, in integer order of its low digits."""
+    for n in range(p**r):
+        f = [n // p**i % p for i in range(r)] + [1]
+        if fields.is_irreducible(f, p):
+            return tuple(f)
+
+
+# both above TABLE_MAX_Q, so every exchange step goes through the memo
+MEMO_PARAMS = (
+    crypto.SystemParams(FieldParams(101, 7, (46, 0, 1, 1, 0, 74, 0, 1)), DynkinSpec("D", 7)),
+    crypto.SystemParams(FieldParams(3, 8, _first_monic_irreducible(3, 8)), DynkinSpec("A", 8)),
+)
+
+
+def _fold(values, key, rows, field, clear):
+    """numeric_mutate over the schedule's rows: (values, failing step or None)."""
+    for step, (k, row) in enumerate(zip(key.seq, rows), start=1):
+        if clear:
+            field._inverses.clear()
+        try:
+            values = numeric_mutate(values, row, k, field)
+        except MutationDivisionError:
+            return values, step
+    return values, None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(MEMO_PARAMS), st.integers(0, 2**32 - 1), st.integers(2, 24), st.data())
+def test_remembered_inverses_fold_like_fresh_ones(params, rng_seed, t, data):
+    # letters repeat, so folds of one key share divisors; letter 0 at k0
+    # fails at the key's first k0 step. A bound of 3 clears the memo often
+    field = params.field
+    key = crypto.keygen(rng_seed, params, t)
+    _, rows, _ = crypto._schedule(params, key)
+    letters = data.draw(st.lists(st.integers(0, 26), min_size=1, max_size=6))
+    starts = []
+    for number in letters:
+        values = [field.alpha_power(i) for i in range(field.r)]
+        values[key.k0] = fields.int_to_element(number, field)
+        starts.append(tuple(values))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fields, "INVERSE_MEMO_MAX", 3)
+        field._inverses.clear()
+        remembered = []
+        for values in starts:
+            remembered.append(_fold(values, key, rows, field, clear=False))
+            assert len(field._inverses) <= 3
+        fresh = [_fold(values, key, rows, field, clear=True) for values in starts]
+    assert remembered == fresh
+    if 0 in letters:
+        assert remembered[letters.index(0)][1] == key.seq.index(key.k0) + 1
+
+
+def test_a_zero_divisor_raises_and_is_not_remembered():
+    field = FieldParams(101, 7, (46, 0, 1, 1, 0, 74, 0, 1))
+    values = tuple(field.alpha_power(i) for i in range(7))
+    values = values[:3] + (field.zero(),) + values[4:]
+    rows = dynkin_exchange_matrix(DynkinSpec("D", 7)).rows
+    with pytest.raises(MutationDivisionError) as err:
+        numeric_mutate(values, rows[3], 3, field)
+    assert err.value.vertex == 3
+    assert field._inverses == {}
+    numeric_mutate(values, rows[2], 2, field)  # a nonzero divisor is kept
+    assert list(field._inverses) == [values[2]]

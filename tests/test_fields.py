@@ -1,8 +1,11 @@
 """Arithmetic in Z_p and GF(p^r): golden values and algebraic properties."""
 
+import gc
 import itertools
+import json
 import random
 import time
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from clustercrypt.fields import (
     int_to_element,
     is_irreducible,
 )
+from clustercrypt.symbolic import RationalFunction
 
 GF32 = FieldParams(p=2, r=5, f=(1, 0, 1, 0, 0, 1))
 GF101_7 = FieldParams(p=101, r=7, f=(46, 0, 1, 1, 0, 74, 0, 1))
@@ -536,6 +540,112 @@ def _first_multiply_seconds(params):
     start = time.perf_counter()
     ext_mul(params.one(), params.one(), params)
     return time.perf_counter() - start
+
+
+def _fresh_gf101_7():
+    """GF(101^7) with an empty memo, shared with no other test."""
+    return FieldParams(GF101_7.p, GF101_7.r, GF101_7.f)
+
+
+def _counting_ext_inv(monkeypatch):
+    calls = []
+    original = fields.ext_inv
+
+    def counting(a, params):
+        calls.append(a)
+        return original(a, params)
+
+    monkeypatch.setattr(fields, "ext_inv", counting)
+    return calls
+
+
+class TestInverseMemo:
+    """divisor_inv remembers inverses above TABLE_MAX_Q, and nothing else reads them."""
+
+    def test_only_fields_above_the_table_limit_have_a_memo(self):
+        below = FieldParams(31, 2, (1, 0, 1))  # q = 961
+        above = FieldParams(2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1))  # q = 1024
+        assert below.q <= fields.TABLE_MAX_Q < above.q
+        assert below._inverses is None and GF32._inverses is None
+        assert above._inverses == {} and _fresh_gf101_7()._inverses == {}
+        assert fields._without_tables(GF101_7)._inverses is None
+
+    def test_a_tabled_field_runs_ext_inv_on_every_call(self, monkeypatch):
+        calls = _counting_ext_inv(monkeypatch)
+        a = int_to_element(11, GF32)
+        assert fields.divisor_inv(a, GF32) == fields.divisor_inv(a, GF32) == ext_inv(a, GF32)
+        assert len(calls) == 2 and GF32._inverses is None
+
+    def test_a_kept_inverse_runs_no_euclid(self, monkeypatch):
+        field = _fresh_gf101_7()
+        a, b = int_to_element(38927, field), int_to_element(46596680922228, field)
+        expected = ext_inv(a, field), ext_inv(b, field)
+        calls = _counting_ext_inv(monkeypatch)
+        got = [fields.divisor_inv(x, field) for x in (a, b, a, b, a)]
+        assert got == [expected[0], expected[1]] * 2 + [expected[0]]
+        assert calls == [a, b]
+        assert field._inverses == {a: expected[0], b: expected[1]}
+
+    def test_a_full_memo_is_cleared_before_the_next_inverse(self, monkeypatch):
+        monkeypatch.setattr(fields, "INVERSE_MEMO_MAX", 3)
+        field = _fresh_gf101_7()
+        elements = [int_to_element(n, field) for n in (2, 3, 5, 7, 2)]
+        sizes = []
+        for a in elements:
+            assert fields.divisor_inv(a, field) == ext_inv(a, field)
+            sizes.append(len(field._inverses))
+        assert sizes == [1, 2, 3, 1, 2]
+        assert list(field._inverses) == elements[3:]
+
+    def test_zero_raises_and_is_not_kept(self):
+        field = _fresh_gf101_7()
+        with pytest.raises(NonInvertibleError, match="^zero element has no inverse$"):
+            fields.divisor_inv(field.zero(), field)
+        assert field._inverses == {}
+
+    def test_ext_inv_and_the_symbolic_oracle_neither_read_nor_fill_the_memo(self):
+        # a wrong entry planted in the memo reaches divisor_inv only; the
+        # oracle inverts on its own, so it stays independent of the cipher
+        field = _fresh_gf101_7()
+        point = [int_to_element(n, field) for n in (38927, 101, 7, 5, 3, 2, 1)]
+        planted = {point[1]: field.one()}
+        field._inverses.update(planted)
+        assert fields.divisor_inv(point[1], field) == field.one()
+        assert ext_inv(point[1], field) != field.one()
+        quotient = RationalFunction.parse("x0/x1", 7, field.p)
+        assert quotient.evaluate(point, field) == ext_mul(point[0], ext_inv(point[1], field), field)
+        assert field._inverses == planted
+
+    def test_the_memo_dies_with_its_field(self):
+        # the params cache is the one per-process home of a field, and its
+        # memo lives on it: evicting the params frees the kept inverses
+        class Marker:
+            pass
+
+        crypto._params_from_header.cache_clear()
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)]
+
+        def d7_params(flips):
+            orientation = [[j, i] if flip else [i, j] for (i, j), flip in zip(edges, flips)]
+            diagram = {"family": "D", "rank": 7, "orientation": orientation}
+            payload = {"p": 101, "r": 7, "f": list(GF101_7.f), "diagram": diagram}
+            return crypto.deserialize_params(json.dumps(payload).encode())
+
+        orientations = list(itertools.product((False, True), repeat=6))[:9]
+        first = d7_params(orientations[0])
+        key = crypto.keygen(0, first, 20)
+        crypto.encrypt(first, key, crypto.encode_message("A", first))
+        field = first.field
+        assert len(field._inverses) > 1
+        marker = Marker()
+        field._inverses["marker"] = marker  # a weakly referable stand-in for the memo
+        dead = [weakref.ref(field), weakref.ref(marker)]
+        del first, key, field, marker
+        for flips in orientations[1:]:
+            d7_params(flips)
+        gc.collect()
+        assert [ref() for ref in dead] == [None, None]
+        crypto._params_from_header.cache_clear()
 
 
 class TestIntegerCodec:
